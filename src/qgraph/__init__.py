@@ -48,6 +48,7 @@ from .ensemble import (
     generate_configurations,
     randomized_ensemble,
     run_campaign,
+    sweep_plan,
 )
 from .presets import preset, preset_names
 

@@ -155,10 +155,6 @@ def cmd_campaign(args) -> CommandOutcome:
 
 def cmd_fit_xi(args) -> CommandOutcome:
     sample = qio.read_spacings_csv(args.spacings)
-    if sample.spacings.size < 200:
-        return CommandOutcome(
-            2, f"need at least 200 spacings to fit, got {sample.spacings.size}"
-        )
     result = fit_xi(sample)
     paths = ()
     if args.out:

@@ -43,6 +43,8 @@ __all__ = [
     "CampaignResult",
     "generate_configurations",
     "randomized_ensemble",
+    "sweep_plan",
+    "randomized_plan",
     "run_campaign",
     "plan_from_manifest",
     "load_manifest",
@@ -170,10 +172,8 @@ class CampaignPlan:
     provenance: dict = field(default_factory=dict)
 
 
-def _as_plan(spec) -> CampaignPlan:
-    if isinstance(spec, CampaignPlan):
-        return spec
-    specs = [spec] if isinstance(spec, SweepSpec) else list(spec)
+def sweep_plan(*specs: SweepSpec) -> CampaignPlan:
+    """The pairs of one or more sweeps that share one solver configuration."""
     pairs: list[tuple[MetricGraph, MetricGraph]] = []
     labels = []
     solver = specs[0].solver
@@ -184,6 +184,30 @@ def _as_plan(spec) -> CampaignPlan:
         labels.append(s.label or "sweep")
     return CampaignPlan(
         pairs=tuple(pairs), solver=solver, provenance={"sweeps": labels}
+    )
+
+
+def randomized_plan(
+    base: MetricGraph,
+    switch: SwitchDescriptor,
+    solver: SolverConfig,
+    count: int,
+    jitter: float,
+    seed: int,
+    source: str,
+) -> CampaignPlan:
+    """Seeded length jitters of `base`, each paired with its switch image."""
+    graphs = randomized_ensemble(base, count, jitter, seed)
+    return CampaignPlan(
+        pairs=tuple((g, edge_switch(g, switch)) for g in graphs),
+        solver=solver,
+        provenance={
+            "source": source,
+            "mode": "randomized",
+            "count": count,
+            "jitter": jitter,
+            "seed": seed,
+        },
     )
 
 
@@ -223,15 +247,12 @@ def _solve_one(args) -> Spectrum:
     return solve_spectrum(graph, solver)
 
 
-def run_campaign(spec, workers: int = 1) -> CampaignResult:
-    """Solve every pair and aggregate the statistics.
+def run_campaign(plan: CampaignPlan, workers: int = 1) -> CampaignResult:
+    """Solve every pair of the plan and aggregate the statistics.
 
-    `spec` is a SweepSpec, a sequence of SweepSpec sharing one solver
-    configuration, or an explicit CampaignPlan.  Degraded pairs (either
-    side incomplete) are excluded from the pooled statistics but retained
-    in the report.
+    Degraded pairs (either side incomplete) are excluded from the pooled
+    statistics but retained in the report.
     """
-    plan = _as_plan(spec)
     tasks = []
     for before, after in plan.pairs:
         tasks.append((before, plan.solver))
@@ -290,6 +311,10 @@ def load_manifest(path) -> dict:
     return manifest
 
 
+def _switch_from(entry: dict) -> SwitchDescriptor:
+    return SwitchDescriptor(int(entry["pivot"]), int(entry["edge_a"]), int(entry["edge_b"]))
+
+
 def plan_from_manifest(manifest: dict) -> CampaignPlan:
     """Build a campaign plan from a manifest dictionary.
 
@@ -297,9 +322,12 @@ def plan_from_manifest(manifest: dict) -> CampaignPlan:
       {"presets": ["goe_a", "goe_b"], ...}                    sweep pairs
       {"preset": "gue", "randomized": {"count": 40,
           "jitter": 0.02}, "seed": 7, ...}                    jittered pairs
+      {"graph_file": "g.json", "switch": {...},
+          "randomized": {...}, ...}                           jittered pairs
       {"graph_file": "g.json", "sweep": {...}, ...}           explicit graph
     Optional keys: "window_ghz": [lo, hi], "window_k": [lo, hi], "solver":
-    {...SolverConfig overrides...}, "seed".
+    {...SolverConfig overrides...}, "seed".  A graph file carries no
+    window, so both graph_file shapes default to 0.01-2.5 GHz.
     """
     from . import presets as presets_mod  # deferred: presets import this module
 
@@ -318,6 +346,7 @@ def plan_from_manifest(manifest: dict) -> CampaignPlan:
         return cfg
 
     seed = int(manifest.get("seed", 0))
+    graph_file_solver = SolverConfig(k_min=k_from_ghz(0.01), k_max=k_from_ghz(2.5))
 
     if "presets" in manifest or (
         "preset" in manifest and "randomized" not in manifest
@@ -327,9 +356,9 @@ def plan_from_manifest(manifest: dict) -> CampaignPlan:
         for name in names:
             p = presets_mod.preset(name)
             specs.append(replace(p.sweep, solver=solver_override(p.sweep.solver)))
-        plan = _as_plan(specs)
         return replace(
-            plan, provenance={"presets": list(names), "seed": seed, "mode": "sweep"}
+            sweep_plan(*specs),
+            provenance={"presets": list(names), "seed": seed, "mode": "sweep"},
         )
 
     if "randomized" in manifest:
@@ -342,25 +371,13 @@ def plan_from_manifest(manifest: dict) -> CampaignPlan:
             source = manifest["preset"]
         elif "graph_file" in manifest:
             base = load_graph(manifest["graph_file"])
-            sw = manifest["switch"]
-            switch = SwitchDescriptor(int(sw["pivot"]), int(sw["edge_a"]), int(sw["edge_b"]))
-            solver = SolverConfig(k_min=1e-2, k_max=1.0)
+            switch = _switch_from(manifest["switch"])
+            solver = graph_file_solver
             source = manifest["graph_file"]
         else:
             raise ValueError("randomized manifest needs a preset or graph_file")
-        solver = solver_override(solver)
-        graphs = randomized_ensemble(base, count, jitter, seed)
-        pairs = tuple((g, edge_switch(g, switch)) for g in graphs)
-        return CampaignPlan(
-            pairs=pairs,
-            solver=solver,
-            provenance={
-                "source": source,
-                "mode": "randomized",
-                "count": count,
-                "jitter": jitter,
-                "seed": seed,
-            },
+        return randomized_plan(
+            base, switch, solver_override(solver), count, jitter, seed, source
         )
 
     if "graph_file" in manifest:
@@ -372,19 +389,12 @@ def plan_from_manifest(manifest: dict) -> CampaignPlan:
             shrink_edge=int(sw["shrink_edge"]),
             step_delta=float(sw["step_delta"]),
             step_count=int(sw["step_count"]),
-            switch=SwitchDescriptor(
-                int(sw["switch"]["pivot"]),
-                int(sw["switch"]["edge_a"]),
-                int(sw["switch"]["edge_b"]),
-            ),
-            solver=solver_override(
-                SolverConfig(k_min=k_from_ghz(0.01), k_max=k_from_ghz(2.5))
-            ),
+            switch=_switch_from(sw["switch"]),
+            solver=solver_override(graph_file_solver),
             label=manifest.get("label", "manifest"),
         )
-        plan = _as_plan(spec)
         return replace(
-            plan,
+            sweep_plan(spec),
             provenance={"graph_file": manifest["graph_file"], "seed": seed, "mode": "sweep"},
         )
 

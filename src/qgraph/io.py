@@ -16,9 +16,11 @@ import numpy as np
 
 from .solver import Spectrum
 from .stats import (
+    MIN_FIT_SPACINGS,
     CountingFunction,
     ShiftDistribution,
     SpacingSample,
+    detect_missing_resonances,
     fit_xi,
     spacing_histogram,
     transition_pdf,
@@ -211,7 +213,7 @@ def emit_campaign_outputs(result, out_dir, manifest: dict | None = None) -> list
     write_spacings_csv(result.spacings, spacings_path)
 
     centers, density = spacing_histogram(result.spacings)
-    if result.spacings.spacings.size >= 200:
+    if result.spacings.spacings.size >= MIN_FIT_SPACINGS:
         xi = fit_xi(result.spacings).xi
     else:
         xi = 1.0
@@ -221,9 +223,7 @@ def emit_campaign_outputs(result, out_dir, manifest: dict | None = None) -> list
     inter_path = out / "interlacing.csv"
     inter_rows = []
     for pair in result.pairs:
-        violations = sum(
-            1 for _, _, v in _shift_violations(pair) if abs(v) >= 2
-        )
+        violations = len(detect_missing_resonances(pair.before, pair.after).flagged)
         inter_rows.append((pair.index, pair.degree, violations))
     write_interlacing_csv(inter_path, inter_rows)
 
@@ -248,9 +248,3 @@ def emit_campaign_outputs(result, out_dir, manifest: dict | None = None) -> list
     paths.extend(str(p) for p in aggregate)
     paths.append(str(echo_path))
     return paths
-
-
-def _shift_violations(pair):
-    from .stats import _shift_segments
-
-    return _shift_segments(pair.before, pair.after, pair.before.window)

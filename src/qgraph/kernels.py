@@ -5,10 +5,8 @@ eigenvalues of the unitary matrix U(k) = D(k) S: the secular residual is
 the distance of the nearest eigenphase to zero (U unitary makes I - U
 normal, so singular values of I - U are |1 - e^{i theta_j}|), and the sum
 of principal eigenphases yields an exact level count between two probe
-points.  The scan over thousands of k values dominates solver runtime, so
-the kernel is JIT-compiled with numba; a pure-numpy fallback (batched
-LAPACK over stacked matrices) is selected when numba is unavailable or
-when the environment variable QGRAPH_NUMBA is set to 0/false/no.
+points.  The kernel batches the LAPACK eigenvalue work over stacked
+matrices, one per wavenumber.
 
 Kernels are single-threaded on purpose: parallelism lives at the
 configuration level in the ensemble runner, which keeps results
@@ -17,21 +15,14 @@ bit-identical at any worker count.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["eigenphases", "eigenphases_numpy", "eigenphases_numba", "NUMBA_ENABLED"]
+__all__ = ["eigenphases", "eigenphases_numpy"]
 
 TWO_PI = 2.0 * np.pi
 
 
-def _env_wants_numba() -> bool:
-    flag = os.environ.get("QGRAPH_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "no", "off")
-
-
-def eigenphases_numpy(
+def eigenphases(
     ks: np.ndarray, lengths: np.ndarray, chis: np.ndarray, smat: np.ndarray
 ) -> np.ndarray:
     """Principal eigenphases of U(k) = diag(exp(i(k*l_b + chi_b))) @ S.
@@ -46,41 +37,6 @@ def eigenphases_numpy(
     return np.mod(np.angle(ev), TWO_PI)
 
 
-try:  # pragma: no cover - exercised indirectly via the dispatch tests
-    from numba import njit
-
-    @njit(cache=True, nogil=True)
-    def _eigenphases_jit(ks, lengths, chis, smat):
-        n = ks.shape[0]
-        m = lengths.shape[0]
-        out = np.empty((n, m), dtype=np.float64)
-        u = np.empty((m, m), dtype=np.complex128)
-        for i in range(n):
-            for a in range(m):
-                d = np.exp(1j * (ks[i] * lengths[a] + chis[a]))
-                for b in range(m):
-                    u[a, b] = d * smat[a, b]
-            ev = np.linalg.eigvals(u)
-            for j in range(m):
-                th = np.arctan2(ev[j].imag, ev[j].real)
-                if th < 0.0:
-                    th += TWO_PI
-                out[i, j] = th
-        return out
-
-    def eigenphases_numba(ks, lengths, chis, smat):
-        return _eigenphases_jit(
-            np.ascontiguousarray(ks, dtype=np.float64),
-            np.ascontiguousarray(lengths, dtype=np.float64),
-            np.ascontiguousarray(chis, dtype=np.float64),
-            np.ascontiguousarray(smat, dtype=np.complex128),
-        )
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    eigenphases_numba = None
-    _HAVE_NUMBA = False
-
-NUMBA_ENABLED = _HAVE_NUMBA and _env_wants_numba()
-
-eigenphases = eigenphases_numba if NUMBA_ENABLED else eigenphases_numpy
+# perfbench/workloads.py times the kernel under this name and runs unchanged
+# against every commit it compares, so the name stays.
+eigenphases_numpy = eigenphases

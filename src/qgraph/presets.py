@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ensemble import CampaignPlan, SweepSpec, randomized_ensemble
-from .graphs import Edge, MetricGraph, SwitchDescriptor, edge_switch
+from .ensemble import CampaignPlan, SweepSpec, randomized_plan
+from .graphs import Edge, MetricGraph, SwitchDescriptor
 from .solver import SolverConfig
 from .units import k_from_ghz
 
@@ -214,17 +214,12 @@ def gue_numerics_plan(
     """
     p = preset("gue")
     k_min, k_max = gue_numerics_window(p.graph)
-    solver = SolverConfig(k_min=k_min, k_max=k_max)
-    graphs = randomized_ensemble(p.graph, count, jitter, seed)
-    pairs = tuple((g, edge_switch(g, p.sweep.switch)) for g in graphs)
-    return CampaignPlan(
-        pairs=pairs,
-        solver=solver,
-        provenance={
-            "source": "gue",
-            "mode": "randomized",
-            "count": count,
-            "jitter": jitter,
-            "seed": seed,
-        },
+    return randomized_plan(
+        p.graph,
+        p.sweep.switch,
+        SolverConfig(k_min=k_min, k_max=k_max),
+        count,
+        jitter,
+        seed,
+        "gue",
     )

@@ -35,6 +35,7 @@ __all__ = [
     "wigner_pdf",
     "wigner_cdf",
     "transition_pdf",
+    "MIN_FIT_SPACINGS",
     "fit_xi",
     "ks_distance",
     "sample_wigner",
@@ -420,31 +421,26 @@ class TransitionFitResult:
             raise ValueError("fitted xi must be non-negative")
 
 
+# Smallest spacing sample fit_xi accepts; campaign emission overlays
+# xi = 1 on a smaller pooled sample instead of fitting.
+MIN_FIT_SPACINGS = 200
+
+
 def fit_xi(
-    sample: SpacingSample | tuple[np.ndarray, np.ndarray],
-    bin_width: float = 0.1,
-    s_max: float = 4.0,
-    min_spacings: int = 200,
+    sample: SpacingSample, bin_width: float = 0.1, s_max: float = 4.0
 ) -> TransitionFitResult:
     """Least-squares fit of the transition density to a binned sample.
 
-    Accepts a SpacingSample (binned here, zero-count bins included) or a
-    pre-binned (centers, density, sample_size) triple.  A first unweighted
-    pass seeds Poisson weights estimated from the fitted model, and a
-    second weighted pass gives a near-efficient estimate.  The uncertainty
-    comes from the curvature of the weighted objective at the optimum.
+    The sample is binned here, zero-count bins included.  A first
+    unweighted pass seeds Poisson weights estimated from the fitted model,
+    and a second weighted pass gives a near-efficient estimate.  The
+    uncertainty comes from the curvature of the weighted objective at the
+    optimum.
     """
-    if isinstance(sample, SpacingSample):
-        if sample.spacings.size < min_spacings:
-            raise ValueError(
-                f"need at least {min_spacings} spacings, got {sample.spacings.size}"
-            )
-        centers, density = spacing_histogram(sample, bin_width, s_max)
-        n_samples = sample.spacings.size
-    else:
-        centers, density = np.asarray(sample[0], float), np.asarray(sample[1], float)
-        n_samples = int(sample[2]) if len(sample) > 2 else None
-
+    n_samples = sample.spacings.size
+    if n_samples < MIN_FIT_SPACINGS:
+        raise ValueError(f"need at least {MIN_FIT_SPACINGS} spacings, got {n_samples}")
+    centers, density = spacing_histogram(sample, bin_width, s_max)
     first = least_squares(
         lambda p: transition_pdf(centers, p[0]) - density, x0=[1.0], bounds=([0.0], [np.inf])
     )
@@ -452,21 +448,17 @@ def fit_xi(
         raise RuntimeError(
             f"xi fit did not converge: {first.message}; final cost {first.cost!r}"
         )
-    if n_samples is None:
-        result = first
-        sigma = np.ones_like(centers)
-    else:
-        model = np.maximum(transition_pdf(centers, float(first.x[0])), 1e-3)
-        sigma = np.sqrt(model / (n_samples * bin_width))
-        result = least_squares(
-            lambda p: (transition_pdf(centers, p[0]) - density) / sigma,
-            x0=first.x,
-            bounds=([0.0], [np.inf]),
+    model = np.maximum(transition_pdf(centers, float(first.x[0])), 1e-3)
+    sigma = np.sqrt(model / (n_samples * bin_width))
+    result = least_squares(
+        lambda p: (transition_pdf(centers, p[0]) - density) / sigma,
+        x0=first.x,
+        bounds=([0.0], [np.inf]),
+    )
+    if not result.success:
+        raise RuntimeError(
+            f"xi fit did not converge: {result.message}; final cost {result.cost!r}"
         )
-        if not result.success:
-            raise RuntimeError(
-                f"xi fit did not converge: {result.message}; final cost {result.cost!r}"
-            )
     xi = float(result.x[0])
     rss = 2.0 * result.cost
     dof = max(centers.size - 1, 1)

@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.  Criterion 9 is expected to fail: the target accuracy lies
 beyond the Cramer-Rao bound of the fitted family at the stated sample
-size (see the decisions ledger); the assertion is kept faithful and the
+size (see CHANGES.md); the assertion is kept faithful and the
 test is marked strict-xfail so an unexpected pass would itself fail.
 """
 
@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from qgraph.ensemble import run_campaign
+from qgraph.ensemble import run_campaign, sweep_plan
 from qgraph.graphs import Edge, MetricGraph
 from qgraph.presets import gue_numerics_plan, preset
 from qgraph.solver import (
@@ -69,13 +69,13 @@ def report(criterion: int, detail: str, passed: bool = True) -> None:
 def goe_campaign():
     specs = [preset("goe_a").sweep, preset("goe_b").sweep]
     t0 = time.time()
-    result = run_campaign(specs, workers=WORKERS)
+    result = run_campaign(sweep_plan(*specs), workers=WORKERS)
     return result, time.time() - t0
 
 
 @pytest.fixture(scope="module")
 def gue_sweep_campaign():
-    return run_campaign(preset("gue").sweep, workers=WORKERS)
+    return run_campaign(sweep_plan(preset("gue").sweep), workers=WORKERS)
 
 
 @pytest.fixture(scope="module")
@@ -238,7 +238,7 @@ def test_criterion_8_transition_density_limits():
     strict=True,
     reason="unattainable as stated: the Cramer-Rao bound for xi at n = 2000 "
     "is sigma = 0.144, so no estimator reaches 90% coverage of [0.85, 1.15]; "
-    "the near-efficient weighted fit lands at ~75-80%.  See decisions ledger.",
+    "the near-efficient weighted fit lands at ~75-80%.  See CHANGES.md.",
 )
 def test_criterion_9_xi_recovery():
     hits = 0
@@ -253,7 +253,7 @@ def test_criterion_9_xi_recovery():
         9,
         f"{hits}/{XI_REPS} fits inside [0.85, 1.15] "
         f"(mean {np.mean(estimates):.3f}, std {np.std(estimates):.3f}); "
-        f"90% required - expected failure, see ledger",
+        f"90% required - expected failure, see CHANGES.md",
         passed=hits >= XI_MIN_HITS,
     )
     assert hits >= XI_MIN_HITS
@@ -289,7 +289,7 @@ def test_criterion_11_campaign_determinism(tmp_path):
     digests = []
     for workers in (1, 2, 8):
         out = tmp_path / f"w{workers}"
-        result = run_campaign(spec, workers=workers)
+        result = run_campaign(sweep_plan(spec), workers=workers)
         qio.emit_campaign_outputs(result, out, manifest={"workers": workers})
         digest = hashlib.sha256()
         for name in ("shift_distribution.csv", "spacings.csv", "spacing_histogram.csv", "interlacing.csv"):

@@ -175,6 +175,20 @@ def test_campaign_manifest(tmp_path, capsys):
     assert (tmp_path / "run" / "shift_distribution.csv").exists()
 
 
+def test_campaign_graph_file_randomized_default_window(goe_a_file, tmp_path, capsys):
+    # no window in the manifest: the graph-file default must hold levels
+    manifest = {
+        "graph_file": goe_a_file,
+        "switch": {"pivot": 0, "edge_a": 3, "edge_b": 5},
+        "randomized": {"count": 2, "jitter": 0.02},
+        "seed": 1,
+    }
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps(manifest))
+    assert main(["campaign", str(mpath), "--out", str(tmp_path / "run")]) == 0
+    assert "2 pairs solved" in capsys.readouterr().out
+
+
 def test_campaign_empty_manifest(tmp_path):
     mpath = tmp_path / "empty.json"
     mpath.write_text("{}")

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from qgraph.ensemble import (
     plan_from_manifest,
     randomized_ensemble,
     run_campaign,
+    sweep_plan,
 )
 from qgraph.graphs import SwitchDescriptor
-from qgraph.presets import preset
+from qgraph.presets import gue_numerics_plan, gue_numerics_window, preset
 from qgraph.solver import SolverConfig
 from qgraph.units import k_from_ghz
 
@@ -109,7 +111,7 @@ def test_randomized_ensemble_rejects_bad_input():
 
 
 def test_campaign_small_goe():
-    result = run_campaign(small_window_sweep(), workers=1)
+    result = run_campaign(sweep_plan(small_window_sweep()), workers=1)
     assert len(result.pairs) == 3
     assert not result.degraded
     assert all(d >= 0 for d in result.interlacing_degrees)
@@ -117,9 +119,9 @@ def test_campaign_small_goe():
 
 
 def test_campaign_parallelism_bit_identical():
-    spec = small_window_sweep()
-    r1 = run_campaign(spec, workers=1)
-    r2 = run_campaign(spec, workers=2)
+    plan = sweep_plan(small_window_sweep())
+    r1 = run_campaign(plan, workers=1)
+    r2 = run_campaign(plan, workers=2)
     assert r1.interlacing_degrees == r2.interlacing_degrees
     assert r1.shift.probabilities == r2.shift.probabilities
     assert np.array_equal(r1.spacings.spacings, r2.spacings.spacings)
@@ -130,12 +132,15 @@ def test_campaign_parallelism_bit_identical():
 
 def test_campaign_combined_sweeps_pair_count():
     specs = [small_window_sweep("goe_a", 1), small_window_sweep("goe_b", 1)]
-    result = run_campaign(specs, workers=1)
+    result = run_campaign(sweep_plan(*specs), workers=1)
     assert len(result.pairs) == 4
+    mixed = replace(specs[1], solver=preset("goe_b").sweep.solver)
+    with pytest.raises(ValueError):
+        sweep_plan(specs[0], mixed)
 
 
 def test_campaign_pooled_shift_is_pair_average():
-    result = run_campaign(small_window_sweep(), workers=1)
+    result = run_campaign(sweep_plan(small_window_sweep()), workers=1)
     support = result.shift.support
     for m in support:
         mean = np.mean([p.shift.probability(m) for p in result.pairs])
@@ -171,6 +176,22 @@ def test_plan_from_manifest_randomized():
         a[0].canonical_edges() == b[0].canonical_edges()
         for a, b in zip(plan.pairs, again.pairs)
     )
+
+
+def test_gue_numerics_plan_matches_manifest():
+    plan = gue_numerics_plan(count=6, seed=5)
+    manifest = {
+        "preset": "gue",
+        "randomized": {"count": 6, "jitter": 0.02},
+        "seed": 5,
+        "window_k": list(gue_numerics_window()),
+    }
+    again = plan_from_manifest(manifest)
+    assert [(b.canonical_edges(), a.canonical_edges()) for b, a in plan.pairs] == [
+        (b.canonical_edges(), a.canonical_edges()) for b, a in again.pairs
+    ]
+    assert plan.solver == again.solver
+    assert plan.provenance == again.provenance
 
 
 def test_plan_from_manifest_rejects_garbage(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qgraph import io as qio
-from qgraph.ensemble import run_campaign
+from qgraph.ensemble import run_campaign, sweep_plan
 from qgraph.solver import SolverConfig, solve_spectrum
 from qgraph.presets import preset
 from qgraph.stats import (
@@ -104,7 +104,7 @@ def test_emit_campaign_outputs(tmp_path):
         solver=SolverConfig(k_from_ghz(0.01), k_from_ghz(1.0)),
         label="tiny",
     )
-    result = run_campaign(spec, workers=1)
+    result = run_campaign(sweep_plan(spec), workers=1)
     paths = qio.emit_campaign_outputs(result, tmp_path, manifest={"presets": ["goe_a"]})
     names = {p.split("/")[-1] for p in paths}
     assert "shift_distribution.csv" in names
