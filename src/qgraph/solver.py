@@ -11,12 +11,16 @@ distances |1 - e^{i theta_j}| of the eigenphases from zero, and every
 eigenphase moves upward with velocity between the shortest and longest
 bond.  Two consequences drive the solver:
 
-* the secular residual (smallest singular value) is a piecewise-smooth
-  V-shape around each eigenvalue, so scan-bracket-refine finds roots;
 * the principal eigenphases sum to 2 L k minus 2 pi times the number of
   eigenvalues passed, so the exact level count between two probe points
-  is available from two eigendecompositions.  The solver uses this to
-  verify that no root was missed and to rescan precisely where one was.
+  is available from two eigendecompositions.  One batched scan counts
+  the roots of every grid cell; batched bisection splits cells with
+  several roots, and the same winding count verifies at the end that no
+  root was missed;
+* near a simple root exactly one eigenphase crosses zero, upward, so the
+  signed eigenphase nearest zero changes sign across the root and a
+  batched Illinois (regula falsi) iteration on it polishes every root at
+  once.
 
 An independent finite-difference discretization of the graph Laplacian
 (with Peierls phases on the links) serves as a cross-method oracle.
@@ -49,7 +53,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # O(1) bound on the fluctuating part of the counting function; exceeding it
 # marks the spectrum incomplete.
@@ -133,8 +136,8 @@ class SolverConfig:
     max_refinement_iterations: int = 200
 
     def check(self) -> None:
-        if not (0.0 <= self.k_min < self.k_max):
-            raise ValueError(f"need 0 <= k_min < k_max, got ({self.k_min}, {self.k_max})")
+        if not (0.0 < self.k_min < self.k_max):
+            raise ValueError(f"need 0 < k_min < k_max, got ({self.k_min}, {self.k_max})")
         if self.scan_step is not None and not (self.scan_step > 0.0):
             raise ValueError(f"scan_step must be positive, got {self.scan_step}")
         if not (self.root_tolerance > 0.0):
@@ -205,229 +208,197 @@ def fluctuation_envelope(
 
 
 # ---------------------------------------------------------------------------
-# scan / refine / verify
+# scan / isolate / verify
 # ---------------------------------------------------------------------------
 
-
-def _residual_from_phases(phases: np.ndarray) -> np.ndarray:
-    """Distance of the nearest eigenphase to 0 mod 2 pi, as |1 - e^{i t}|."""
-    dist = np.minimum(phases, TWO_PI - phases)
-    return 2.0 * np.sin(0.5 * dist.min(axis=-1))
+# Eigenphases from a 2E x 2E eigendecomposition carry rounding errors near
+# 1e-15; a phase this close to zero is taken as a root whatever
+# root_tolerance asks for, so no decision rests on the sign of noise.
+PHASE_FLOOR = 1e-12
 
 
 class _BondProblem:
     """Cached bond arrays plus the phase-based evaluations the solver needs."""
 
-    def __init__(self, graph: MetricGraph):
+    def __init__(self, graph: MetricGraph, root_tolerance: float):
         self.lengths, self.chis, self.smat = bond_basis(graph)
         self.total_length = graph.total_length
-        # eigenphase velocities are bounded by the bond lengths
+        # eigenphases move upward no slower than the shortest bond, so a
+        # phase within phase_tol of zero puts k within root_tolerance of a root
         self.v_min = float(self.lengths.min())
-        self.v_max = float(self.lengths.max())
+        self.phase_tol = max(self.v_min * root_tolerance, PHASE_FLOOR)
 
     def phases(self, ks: np.ndarray) -> np.ndarray:
         return kernels.eigenphases(ks, self.lengths, self.chis, self.smat)
 
-    def residuals(self, ks: np.ndarray) -> np.ndarray:
-        return _residual_from_phases(self.phases(ks))
+    def evaluate(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Winding, signed nearest phase and number of roots at each k.
 
-    def residual_at(self, k: float) -> float:
-        return float(self.residuals(np.array([k]))[0])
-
-    def phase_row(self, k: float) -> np.ndarray:
-        return self.phases(np.array([k]))[0]
-
-    def winding(self, k: float, phase_row: np.ndarray | None = None) -> float:
-        """(2 L k - sum of principal eigenphases) / 2 pi.
-
-        Differences of this quantity between points that are not
-        eigenvalues are exact integers: the number of eigenphases that
-        crossed 0 mod 2 pi, i.e. the number of eigenvalues in between.
+        A phase within phase_tol of zero marks a root at k.  Its sign is
+        rounding noise, so it always counts as passed: the winding
+        (2 L k - sum of principal phases) / 2 pi then steps by one at each
+        root, and w(b) - w(a) is exactly the number of roots in (a, b].
+        The signed phase is the one nearest zero among the others, in
+        (-pi, pi]; it is negative just below a root and positive above.
         """
-        if phase_row is None:
-            phase_row = self.phase_row(k)
-        return (2.0 * self.total_length * k - float(phase_row.sum())) / TWO_PI
+        theta = self.phases(ks)
+        signed = np.where(theta > math.pi, theta - TWO_PI, theta)
+        at_root = np.abs(signed) <= self.phase_tol
+        passed = np.where(at_root, signed, theta)
+        winding = (2.0 * self.total_length * ks - passed.sum(axis=1)) / TWO_PI
+        others = np.where(at_root, math.pi, signed)
+        nearest = np.take_along_axis(others, np.abs(others).argmin(axis=1)[:, None], axis=1)
+        return winding, nearest[:, 0], at_root.sum(axis=1)
 
 
-def _golden_minimize(f, a: float, b: float, tol: float, max_iter: int) -> tuple[float, float]:
-    c = b - INV_PHI * (b - a)
-    d = a + INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a <= tol:
+def _isolate_roots(
+    problem: _BondProblem,
+    grid: np.ndarray,
+    scan: tuple[np.ndarray, np.ndarray, np.ndarray],
+    config: SolverConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted roots in (grid[0], grid[-1]] with multiplicities.
+
+    The scan's windings give the exact root count of every grid cell
+    (a, b].  Each iteration evaluates one point x per cell in a single
+    kernel call: an Illinois (safeguarded regula falsi) step on the signed
+    phase when the cell holds one root and that phase goes from - at a to
+    + at b, the midpoint otherwise.  The winding at x splits the count
+    between (a, x] and (x, b]; empty halves are dropped.  A cell is done
+    when all its roots sit on its right end, or when it is narrower than
+    root_tolerance (a multiple root, reported at its midpoint).  Cells
+    still open after max_refinement_iterations are left out, which the
+    final winding verification reports.
+    """
+    w, f, on_root = scan
+    count = np.rint(np.diff(w)).astype(np.int64)
+    keep = count > 0
+    cells = {
+        "a": grid[:-1], "b": grid[1:], "wa": w[:-1], "fa": f[:-1], "fb": f[1:],
+        "on_b": on_root[1:], "count": count,
+    }
+    cells = {key: v[keep] for key, v in cells.items()}
+    # Illinois end values (halved when the same end is kept twice in a row)
+    # and the end the last Illinois step kept: -1 for a, +1 for b, 0 for none
+    cells.update(ga=cells["fa"], gb=cells["fb"], kept=np.zeros(keep.sum(), dtype=np.int64))
+
+    roots: list[np.ndarray] = []
+    mults: list[np.ndarray] = []
+    for _ in range(config.max_refinement_iterations):
+        a, b, count = cells["a"], cells["b"], cells["count"]
+        on_end = cells["on_b"] >= count
+        narrow = ~on_end & (b - a < config.root_tolerance)
+        roots += [b[on_end], 0.5 * (a + b)[narrow]]
+        mults += [count[on_end], count[narrow]]
+        cells = {key: v[~(on_end | narrow)] for key, v in cells.items()}
+        if cells["count"].size == 0:
             break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + INV_PHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
-
-
-def _bracket_minima(grid: np.ndarray, res: np.ndarray) -> list[tuple[float, float]]:
-    """Brackets around local minima of the scanned residual, edges included."""
-    brackets = []
-    n = len(grid)
-    if n >= 2 and res[0] < res[1]:
-        brackets.append((grid[0], grid[1]))
-    for i in range(1, n - 1):
-        if res[i] <= res[i - 1] and res[i] < res[i + 1]:
-            brackets.append((grid[i - 1], grid[i + 1]))
-    if n >= 2 and res[-1] < res[-2]:
-        brackets.append((grid[-2], grid[-1]))
-    return brackets
-
-
-def _refine_brackets(
-    problem: _BondProblem, brackets, config: SolverConfig
-) -> list[tuple[float, float]]:
-    """Golden-section refinement; keep (k, residual) below the threshold."""
-    found = []
-    for a, b in brackets:
-        k_star, f_star = _golden_minimize(
-            problem.residual_at, a, b, config.root_tolerance, config.max_refinement_iterations
+        a, b, fa, fb, ga, gb, kept = (
+            cells[key] for key in ("a", "b", "fa", "fb", "ga", "gb", "kept")
         )
-        if f_star <= config.residual_threshold:
-            found.append((k_star, f_star))
-    return found
+        illinois = (cells["count"] == 1) & (fa < 0.0) & (fb > 0.0)
+        x = b - gb * (b - a) / np.where(illinois, gb - ga, 1.0)
+        x = np.where(illinois & (x > a) & (x < b), x, 0.5 * (a + b))
+        wx, fx, on_x = problem.evaluate(x)
+
+        below = np.rint(wx - cells["wa"]).astype(np.int64)
+        left = dict(cells, b=x, fb=fx, on_b=on_x, count=below, gb=fx,
+                    ga=np.where(illinois, np.where(kept == -1, 0.5 * ga, ga), fa),
+                    kept=np.where(illinois, -1, 0))
+        right = dict(cells, a=x, wa=wx, fa=fx, count=cells["count"] - below, ga=fx,
+                     gb=np.where(illinois, np.where(kept == 1, 0.5 * gb, gb), fb),
+                     kept=np.where(illinois, 1, 0))
+        live = np.concatenate([left["count"], right["count"]]) > 0
+        cells = {key: np.concatenate([left[key], right[key]])[live] for key in cells}
+
+    ks = np.concatenate(roots)
+    order = np.argsort(ks)
+    return ks[order], np.concatenate(mults)[order]
 
 
-def _scan_segment(
-    problem: _BondProblem, a: float, b: float, step: float, config: SolverConfig
-) -> list[tuple[float, float]]:
-    n = max(int(math.ceil((b - a) / step)) + 1, 9)
-    grid = np.linspace(a, b, n)
-    res = problem.residuals(grid)
-    return _refine_brackets(problem, _bracket_minima(grid, res), config)
+def _merge_close(
+    ks: np.ndarray, mults: np.ndarray, radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Join sorted roots closer than radius into one multiple root.
+
+    Returns the mask of the roots kept (the first of each group) and the
+    summed multiplicities.
+    """
+    first = np.ones(ks.size, dtype=bool)
+    first[1:] = np.diff(ks) > radius
+    group = np.cumsum(first) - 1
+    return first, np.bincount(group, weights=mults, minlength=first.sum()).astype(np.int64)
 
 
-def _merge_candidates(
-    existing: dict[float, float], candidates, merge_radius: float
-) -> dict[float, float]:
-    """Deduplicate roots; two k within merge_radius are the same root."""
-    merged = dict(existing)
-    for k, f in candidates:
-        twin = None
-        for k0 in merged:
-            if abs(k0 - k) <= merge_radius:
-                twin = k0
-                break
-        if twin is None:
-            merged[k] = f
-        elif f < merged[twin]:
-            del merged[twin]
-            merged[k] = f
-    return merged
-
-
-def _probe_point(
-    problem: _BondProblem, lo: float, hi: float, clearance: float
-) -> tuple[float, np.ndarray]:
-    """A point in (lo, hi) whose eigenphases are safely away from zero."""
-    best = None
-    for frac in (0.5, 0.381966, 0.618034, 0.25, 0.75):
-        k = lo + frac * (hi - lo)
-        row = problem.phase_row(k)
-        r = float(_residual_from_phases(row[None, :])[0])
-        if r >= clearance:
-            return k, row
-        if best is None or r > best[2]:
-            best = (k, row, r)
-    return best[0], best[1]
+def _svd_residuals(problem: _BondProblem, ks: np.ndarray) -> np.ndarray:
+    """Smallest singular value of I - U(k) at each k."""
+    d = np.exp(1j * (ks[:, None] * problem.lengths + problem.chis))
+    a = np.eye(problem.lengths.size) - d[:, :, None] * problem.smat
+    return np.linalg.svd(a, compute_uv=False)[:, -1]
 
 
 def solve_spectrum(graph: MetricGraph, config: SolverConfig) -> Spectrum:
     """All eigenvalues of the graph in (k_min, k_max], verified complete.
 
-    Scan-bracket-refine locates the roots; the exact eigenphase-winding
-    count then confirms every segment between roots holds exactly the
-    roots found, rescanning at 16x, 64x and 256x resolution where it does
-    not.  A persistent deficit is reported through `status` and the
-    completeness flag, never silently dropped.
+    A scan gives the exact eigenphase-winding count of every grid cell;
+    batched bisection and Illinois steps isolate and polish the roots cell
+    by cell (`_isolate_roots`).  The winding count is then checked once
+    more between consecutive roots: a segment holding fewer roots than its
+    count is reported through `status` and the completeness flag, never
+    silently dropped.  A root within root_tolerance of a window edge lies
+    on it: excluded at k_min, included at k_max.
     """
     violations = validate(graph)
     if violations:
         raise ValueError("invalid graph: " + "; ".join(violations))
     config.check()
 
-    problem = _BondProblem(graph)
+    problem = _BondProblem(graph, config.root_tolerance)
     k_lo, k_hi = config.k_min, config.k_max
     step = config.effective_step(problem.total_length)
-    messages: list[str] = []
-
-    merge_radius = max(
-        2.0 * config.residual_threshold / problem.v_min, 10.0 * config.root_tolerance
-    )
-
-    # initial scan
-    candidates = _scan_segment(problem, k_lo, k_hi, step, config)
-    roots = _merge_candidates({}, candidates, merge_radius)
-
-    # near-degenerate neighbors: rescan between close roots at step/16
-    ordered = sorted(roots)
-    for r1, r2 in zip(ordered, ordered[1:]):
-        a, b = r1 + merge_radius, r2 - merge_radius
-        if r2 - r1 < 2.0 * step and b - a > 4.0 * config.root_tolerance:
-            extra = _scan_segment(problem, a, b, step / 16.0, config)
-            roots = _merge_candidates(roots, extra, merge_radius)
-
-    # exact count verification and targeted repair
-    status = "ok"
-    for level in range(4):
-        mult_map = _multiplicities(problem, roots, config)
-        ordered = sorted(k for k in roots if k_lo < k <= k_hi)
-        probes: list[tuple[float, np.ndarray]] = [(k_lo, problem.phase_row(k_lo))]
-        for i in range(len(ordered) - 1):
-            probes.append(_probe_point(problem, ordered[i], ordered[i + 1], 1e-7))
-        probes.append((k_hi, problem.phase_row(k_hi)))
-
-        deficits: list[tuple[float, float]] = []
-        anomaly = False
-        w_vals = [problem.winding(k, row) for k, row in probes]
-        for (ka, _), (kb, _), wa, wb in zip(probes, probes[1:], w_vals, w_vals[1:]):
-            raw = wb - wa
-            expected = round(raw)
-            if abs(raw - expected) > 1e-5:
-                messages.append(
-                    f"count validation inconclusive on ({ka:.9g}, {kb:.9g}): {raw!r}"
-                )
-                anomaly = True
-                continue
-            found = sum(m for k, m in mult_map.items() if ka < k <= kb)
-            if found < expected:
-                deficits.append((ka, kb))
-            elif found > expected:
-                messages.append(
-                    f"more roots than the winding count on ({ka:.9g}, {kb:.9g}); "
-                    f"found {found}, expected {expected}"
-                )
-                anomaly = True
-        if anomaly:
-            status = "anomaly"
-            break
-        if not deficits:
-            status = "ok"
-            break
-        if level == 3:
-            status = "incomplete"
-            messages.append(
-                f"{len(deficits)} window segment(s) still missing roots after rescans"
-            )
-            break
-        fine = step / (16.0 * 4.0**level)
-        for a, b in deficits:
-            extra = _scan_segment(problem, a, b, fine, config)
-            roots = _merge_candidates(roots, extra, merge_radius)
-
-    mult_map = _multiplicities(problem, roots, config)
-    ks = np.array(sorted(k for k in mult_map if k_lo < k <= k_hi))
-    mults = np.array([mult_map[k] for k in ks], dtype=np.int64)
+    grid = np.linspace(k_lo, k_hi, max(int(math.ceil((k_hi - k_lo) / step)) + 1, 9))
+    scan = problem.evaluate(grid)
+    ks, mults = _isolate_roots(problem, grid, scan, config)
 
     # contract residuals: smallest singular value of I - U at each root
-    residuals = np.array([_svd_residual(problem, k) for k in ks])
+    residuals = _svd_residuals(problem, ks)
+    good = residuals <= config.residual_threshold
+    # roots are accurate to root_tolerance (phase_tol / v_min), and the
+    # probe midway between two roots must stay farther than that from both
+    # true roots, so roots closer than four tolerances become one root
+    keep, mults = _merge_close(ks[good], mults[good], 4.0 * problem.phase_tol / problem.v_min)
+    ks, residuals = ks[good][keep], residuals[good][keep]
+
+    # exact count verification: probes at the window edges and midway
+    # between consecutive roots, so segment i holds root i alone
+    probes = 0.5 * (ks[1:] + ks[:-1])
+    edges = np.concatenate(([k_lo], probes, [k_hi]))
+    w_mid = problem.evaluate(probes)[0] if probes.size else probes
+    raw = np.diff(np.concatenate(([scan[0][0]], w_mid, [scan[0][-1]])))
+    expected = np.rint(raw).astype(np.int64)
+    found = mults if ks.size else np.zeros(1, dtype=np.int64)
+
+    messages: list[str] = []
+    inconclusive = np.abs(raw - expected) > 1e-5
+    for i in np.flatnonzero(inconclusive):
+        messages.append(
+            f"count validation inconclusive on ({edges[i]:.9g}, {edges[i + 1]:.9g}): "
+            f"{float(raw[i])!r}"
+        )
+    excess = ~inconclusive & (found > expected)
+    for i in np.flatnonzero(excess):
+        messages.append(
+            f"more roots than the winding count on ({edges[i]:.9g}, {edges[i + 1]:.9g}); "
+            f"found {found[i]}, expected {expected[i]}"
+        )
+    deficits = int(np.sum(~inconclusive & (found < expected)))
+    if inconclusive.any() or excess.any():
+        status = "anomaly"
+    elif deficits:
+        status = "incomplete"
+        messages.append(f"{deficits} window segment(s) still missing roots")
+    else:
+        status = "ok"
 
     expanded = np.repeat(ks, mults)
     nfl_max = fluctuation_envelope(expanded, (k_lo, k_hi), problem.total_length)
@@ -447,24 +418,6 @@ def solve_spectrum(graph: MetricGraph, config: SolverConfig) -> Spectrum:
         nfl_max=nfl_max,
         messages=tuple(messages),
     )
-
-
-def _multiplicities(
-    problem: _BondProblem, roots: dict[float, float], config: SolverConfig
-) -> dict[float, int]:
-    out = {}
-    for k in roots:
-        row = problem.phase_row(k)
-        dist = np.minimum(row, TWO_PI - row)
-        m = int(np.sum(2.0 * np.sin(0.5 * dist) <= config.residual_threshold))
-        out[k] = max(m, 1)
-    return out
-
-
-def _svd_residual(problem: _BondProblem, k: float) -> float:
-    d = np.exp(1j * (k * problem.lengths + problem.chis))
-    a = np.eye(len(d), dtype=np.complex128) - d[:, None] * problem.smat
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
 
 
 # ---------------------------------------------------------------------------

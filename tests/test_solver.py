@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from qgraph import kernels
 from qgraph.graphs import Edge, MetricGraph, negate_phases
-from qgraph.presets import preset
+from qgraph.presets import gue_numerics_plan, preset
 from qgraph.solver import (
     SolverConfig,
     bond_matrix,
@@ -80,6 +81,71 @@ def test_interval_spectrum():
     assert np.allclose(spec.expanded(), math.pi * np.arange(1, 4), rtol=1e-9)
     assert list(spec.multiplicities) == [1, 1, 1]
     assert spec.complete and spec.status == "ok"
+
+
+def test_window_is_half_open_at_edge_eigenvalues():
+    # (k_min, k_max]: an eigenvalue on k_min is left out, one on k_max kept
+    above = solve_spectrum(interval_graph(), SolverConfig(math.pi, 10.0))
+    assert np.allclose(above.expanded(), [2 * math.pi, 3 * math.pi], rtol=1e-9)
+    assert above.status == "ok" and above.complete
+    upto = solve_spectrum(interval_graph(), SolverConfig(0.1, 3 * math.pi))
+    assert np.allclose(upto.expanded(), math.pi * np.arange(1, 4), rtol=1e-9)
+    assert upto.status == "ok" and upto.complete
+
+
+def test_roots_on_scan_grid_points():
+    # grid steps of pi/4 and pi/2 put scan points on every root
+    spec = solve_spectrum(
+        interval_graph(), SolverConfig(math.pi / 2, 2.5 * math.pi, scan_step=math.pi / 4)
+    )
+    assert np.allclose(spec.expanded(), [math.pi, 2 * math.pi], rtol=1e-9)
+    assert spec.status == "ok"
+    loop = solve_spectrum(loop_graph(), SolverConfig(math.pi, 5 * math.pi, scan_step=math.pi / 2))
+    assert np.allclose(loop.wavenumbers, [2 * math.pi, 4 * math.pi], rtol=1e-9)
+    assert list(loop.multiplicities) == [2, 2] and loop.status == "ok"
+
+
+def test_zero_mode_window_rejected():
+    # k = 0 is the Neumann constant mode, not a root of the secular equation
+    with pytest.raises(ValueError):
+        SolverConfig(0.0, 10.5).check()
+    with pytest.raises(ValueError):
+        solve_spectrum(interval_graph(), SolverConfig(0.0, 10.5))
+
+
+@pytest.mark.parametrize("alpha", [1e-11, 1e-10, 1e-5, 1e-4, 1e-3, 2e-2])
+def test_split_ring_pairs_resolved(alpha):
+    # a ring of length 1 with flux alpha has levels 2 pi n -/+ alpha: each
+    # pair is 2 alpha apart, well inside one scan cell; pairs within a few
+    # root tolerances come back as one double root
+    ring = MetricGraph(
+        vertices=(0, 1), edges=(Edge(1, 0, 1, 0.4, alpha), Edge(2, 1, 0, 0.6, alpha))
+    )
+    spec = solve_spectrum(ring, SolverConfig(0.1, 40.0))
+    n = 2 * math.pi * np.arange(1, 7)
+    expect = np.sort(np.concatenate([n - alpha, n + alpha]))
+    assert spec.count == 12
+    assert spec.status == "ok" and spec.complete
+    assert np.abs(spec.expanded() - expect).max() < 1e-9
+
+
+def test_numerics_solve_kernel_budget(monkeypatch):
+    # root isolation is batched: a handful of kernel calls per solve, not
+    # one call per refinement step
+    calls, points = [], []
+    original = kernels.eigenphases
+
+    def counted(ks, *rest):
+        calls.append(1)
+        points.append(len(ks))
+        return original(ks, *rest)
+
+    monkeypatch.setattr(kernels, "eigenphases", counted)
+    plan = gue_numerics_plan(count=1, seed=5)
+    spec = solve_spectrum(plan.pairs[0][0], plan.solver)
+    assert spec.status == "ok" and spec.complete
+    assert len(calls) <= 40
+    assert sum(points) <= 25 * spec.count
 
 
 def test_loop_spectrum_degenerate():
@@ -206,6 +272,8 @@ def test_drop_levels_validates_index():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(5.0, 1.0).check()
+    with pytest.raises(ValueError):
+        SolverConfig(-1.0, 1.0).check()
     with pytest.raises(ValueError):
         SolverConfig(0.1, 1.0, scan_step=-1.0).check()
     with pytest.raises(ValueError):
