@@ -204,7 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one spectrum to CSV")
     p.add_argument("graph")
     add_window(p)
-    p.add_argument("--scan-step", type=float, default=None)
+    p.add_argument(
+        "--scan-step",
+        type=float,
+        default=None,
+        help="scan grid step in rad/m (default pi/(2L) for total length L, "
+        "two points per mean level spacing)",
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
 

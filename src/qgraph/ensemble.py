@@ -226,7 +226,14 @@ class PairResult:
             and self.after.complete
             and self.before.status == "ok"
             and self.after.status == "ok"
+            and not _degenerate(self.before)
+            and not _degenerate(self.after)
         )
+
+
+def _degenerate(spectrum: Spectrum) -> bool:
+    """A multiple level: zero spacings, so the side cannot be unfolded."""
+    return bool(np.any(spectrum.multiplicities > 1))
 
 
 @dataclass(frozen=True)
@@ -250,8 +257,10 @@ def _solve_one(args) -> Spectrum:
 def run_campaign(plan: CampaignPlan, workers: int = 1) -> CampaignResult:
     """Solve every pair of the plan and aggregate the statistics.
 
-    Degraded pairs (either side incomplete) are excluded from the pooled
-    statistics but retained in the report.
+    Degraded pairs (either side incomplete or holding a multiple level)
+    are excluded from the pooled statistics but retained in the report.
+    When every pair is degraded all of them are pooled, except that sides
+    with a multiple level never enter the spacing pool.
     """
     tasks = []
     for before, after in plan.pairs:
@@ -281,8 +290,12 @@ def run_campaign(plan: CampaignPlan, workers: int = 1) -> CampaignResult:
     pool_from = good if good else pair_results
     shift = pool_shift_distributions([p.shift for p in pool_from])
     spacings = pool_spacings(
-        [unfold_spacings(p.before, source=f"pair{p.index}/before") for p in pool_from]
-        + [unfold_spacings(p.after, source=f"pair{p.index}/after") for p in pool_from],
+        [
+            unfold_spacings(spec, source=f"pair{p.index}/{side}")
+            for p in pool_from
+            for side, spec in (("before", p.before), ("after", p.after))
+            if not _degenerate(spec)
+        ],
         source="campaign",
     )
     return CampaignResult(

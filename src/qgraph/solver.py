@@ -19,8 +19,8 @@ bond.  Two consequences drive the solver:
   root was missed;
 * near a simple root exactly one eigenphase crosses zero, upward, so the
   signed eigenphase nearest zero changes sign across the root and a
-  batched Illinois (regula falsi) iteration on it polishes every root at
-  once.
+  batched Anderson-Bjorck (regula falsi) iteration on it polishes every
+  root at once.
 
 An independent finite-difference discretization of the graph Laplacian
 (with Peierls phases on the links) serves as a cross-method oracle.
@@ -124,8 +124,10 @@ def secular_residual(graph: MetricGraph, k: float) -> float:
 class SolverConfig:
     """Window and tolerances for a spectral solve.
 
-    scan_step defaults to pi / (8 L): the mean level density is L/pi per
-    unit k, so the scan places about eight points per mean spacing.
+    scan_step defaults to pi / (2 L): the mean level density is L/pi per
+    unit k, so the scan places two points per mean spacing.  The winding
+    count of every scan cell is exact at any step, so the step trades scan
+    points against bisection steps, not completeness.
     """
 
     k_min: float
@@ -150,7 +152,7 @@ class SolverConfig:
     def effective_step(self, total_length: float) -> float:
         if self.scan_step is not None:
             return self.scan_step
-        return math.pi / (8.0 * total_length)
+        return math.pi / (2.0 * total_length)
 
 
 @dataclass(frozen=True)
@@ -261,9 +263,9 @@ def _isolate_roots(
 
     The scan's windings give the exact root count of every grid cell
     (a, b].  Each iteration evaluates one point x per cell in a single
-    kernel call: an Illinois (safeguarded regula falsi) step on the signed
-    phase when the cell holds one root and that phase goes from - at a to
-    + at b, the midpoint otherwise.  The winding at x splits the count
+    kernel call: an Anderson-Bjorck (safeguarded regula falsi) step on the
+    signed phase when the cell holds one root and that phase goes from - at
+    a to + at b, the midpoint otherwise.  The winding at x splits the count
     between (a, x] and (x, b]; empty halves are dropped.  A cell is done
     when all its roots sit on its right end, or when it is narrower than
     root_tolerance (a multiple root, reported at its midpoint).  Cells
@@ -278,8 +280,9 @@ def _isolate_roots(
         "on_b": on_root[1:], "count": count,
     }
     cells = {key: v[keep] for key, v in cells.items()}
-    # Illinois end values (halved when the same end is kept twice in a row)
-    # and the end the last Illinois step kept: -1 for a, +1 for b, 0 for none
+    # regula falsi end values (scaled down when the same end is kept twice
+    # in a row) and the end the last such step kept: -1 for a, +1 for b, 0
+    # for none
     cells.update(ga=cells["fa"], gb=cells["fb"], kept=np.zeros(keep.sum(), dtype=np.int64))
 
     roots: list[np.ndarray] = []
@@ -296,18 +299,24 @@ def _isolate_roots(
         a, b, fa, fb, ga, gb, kept = (
             cells[key] for key in ("a", "b", "fa", "fb", "ga", "gb", "kept")
         )
-        illinois = (cells["count"] == 1) & (fa < 0.0) & (fb > 0.0)
-        x = b - gb * (b - a) / np.where(illinois, gb - ga, 1.0)
-        x = np.where(illinois & (x > a) & (x < b), x, 0.5 * (a + b))
+        falsi = (cells["count"] == 1) & (fa < 0.0) & (fb > 0.0)
+        x = b - gb * (b - a) / np.where(falsi, gb - ga, 1.0)
+        x = np.where(falsi & (x > a) & (x < b), x, 0.5 * (a + b))
         wx, fx, on_x = problem.evaluate(x)
 
         below = np.rint(wx - cells["wa"]).astype(np.int64)
+        # Anderson-Bjorck: the end kept twice in a row is scaled by
+        # m = 1 - f(x) / f(replaced end), or by 1/2 when m <= 0
+        m_a = 1.0 - fx / np.where(falsi, fb, 1.0)
+        m_b = 1.0 - fx / np.where(falsi, fa, 1.0)
+        m_a = np.where(m_a > 0.0, m_a, 0.5)
+        m_b = np.where(m_b > 0.0, m_b, 0.5)
         left = dict(cells, b=x, fb=fx, on_b=on_x, count=below, gb=fx,
-                    ga=np.where(illinois, np.where(kept == -1, 0.5 * ga, ga), fa),
-                    kept=np.where(illinois, -1, 0))
+                    ga=np.where(falsi, np.where(kept == -1, m_a * ga, ga), fa),
+                    kept=np.where(falsi, -1, 0))
         right = dict(cells, a=x, wa=wx, fa=fx, count=cells["count"] - below, ga=fx,
-                     gb=np.where(illinois, np.where(kept == 1, 0.5 * gb, gb), fb),
-                     kept=np.where(illinois, 1, 0))
+                     gb=np.where(falsi, np.where(kept == 1, m_b * gb, gb), fb),
+                     kept=np.where(falsi, 1, 0))
         live = np.concatenate([left["count"], right["count"]]) > 0
         cells = {key: np.concatenate([left[key], right[key]])[live] for key in cells}
 
@@ -341,12 +350,13 @@ def solve_spectrum(graph: MetricGraph, config: SolverConfig) -> Spectrum:
     """All eigenvalues of the graph in (k_min, k_max], verified complete.
 
     A scan gives the exact eigenphase-winding count of every grid cell;
-    batched bisection and Illinois steps isolate and polish the roots cell
-    by cell (`_isolate_roots`).  The winding count is then checked once
-    more between consecutive roots: a segment holding fewer roots than its
-    count is reported through `status` and the completeness flag, never
-    silently dropped.  A root within root_tolerance of a window edge lies
-    on it: excluded at k_min, included at k_max.
+    batched bisection and Anderson-Bjorck steps isolate and polish the
+    roots cell by cell (`_isolate_roots`).  The winding count is then
+    checked once more between consecutive roots: a segment holding fewer
+    roots than its count is reported through `status` and the
+    completeness flag, never silently dropped.  A root within
+    root_tolerance of a window edge lies on it: excluded at k_min,
+    included at k_max.
     """
     violations = validate(graph)
     if violations:

@@ -337,9 +337,9 @@ def unfold_spacings(spectrum: Spectrum, source: str = "") -> SpacingSample:
 
 
 def pool_spacings(samples: list[SpacingSample], source: str = "pooled") -> SpacingSample:
-    if not samples:
-        raise ValueError("nothing to pool")
-    joined = np.sort(np.concatenate([s.spacings for s in samples]))
+    """All spacings of the samples in one sorted sample; empty when none."""
+    parts = [s.spacings for s in samples]
+    joined = np.sort(np.concatenate(parts)) if parts else np.empty(0)
     return SpacingSample(
         spacings=joined, source=source, config_count=sum(s.config_count for s in samples)
     )
@@ -352,7 +352,7 @@ def spacing_histogram(
     so tail mass beyond s_max correctly lowers the in-range bins."""
     edges = np.arange(0.0, s_max + 0.5 * bin_width, bin_width)
     counts, _ = np.histogram(sample.spacings, bins=edges)
-    density = counts / (sample.spacings.size * bin_width)
+    density = counts / (max(sample.spacings.size, 1) * bin_width)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return centers, density
 

@@ -189,6 +189,31 @@ def test_campaign_graph_file_randomized_default_window(goe_a_file, tmp_path, cap
     assert "2 pairs solved" in capsys.readouterr().out
 
 
+def test_campaign_graph_file_degenerate_levels(tmp_path, capsys):
+    # multiple levels of a regular tetrahedron degrade the pair (exit 1)
+    # instead of aborting the campaign (exit 2)
+    g = preset("goe_a").graph
+    regular = g.with_edges(tuple(Edge(e.id, e.u, e.v, 0.5) for e in g.edges))
+    gpath = tmp_path / "regular.json"
+    save_graph(regular, gpath)
+    manifest = {
+        "graph_file": str(gpath),
+        "switch": {"pivot": 0, "edge_a": 3, "edge_b": 5},
+        "randomized": {"count": 1, "jitter": 0.0},
+        "window_k": [0.1, 30.0],
+    }
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps(manifest))
+    run = tmp_path / "run"
+    assert main(["campaign", str(mpath), "--out", str(run)]) == 1
+    assert "DEGRADED pairs: [0]" in capsys.readouterr().out
+    echo = json.loads((run / "manifest_echo.json").read_text())
+    assert echo["degraded_pairs"] == [0]
+    spectrum = qio.read_spectrum_csv(run / "spectra" / "pair000_before.csv")
+    assert spectrum["multiplicity"].max() > 1
+    assert qio.read_spacings_csv(run / "spacings.csv").spacings.size == 0
+
+
 def test_campaign_empty_manifest(tmp_path):
     mpath = tmp_path / "empty.json"
     mpath.write_text("{}")

@@ -11,6 +11,7 @@ from qgraph.ensemble import (
     load_manifest,
     plan_from_manifest,
     randomized_ensemble,
+    randomized_plan,
     run_campaign,
     sweep_plan,
 )
@@ -145,6 +146,28 @@ def test_campaign_pooled_shift_is_pair_average():
     for m in support:
         mean = np.mean([p.shift.probability(m) for p in result.pairs])
         assert result.shift.probability(m) == pytest.approx(mean, abs=1e-12)
+
+
+def test_campaign_degenerate_levels_degrade_pair():
+    # a regular tetrahedron has multiple levels on both sides of the switch:
+    # zero spacings cannot be unfolded, so the pair is degraded, keeps its
+    # spectra and leaves the spacing pool, and the campaign still completes
+    p = preset("goe_a")
+    regular = p.graph.with_edges(
+        tuple(replace(e, length=0.5, phase_per_m=0.0) for e in p.graph.edges)
+    )
+    plan = randomized_plan(
+        regular, p.sweep.switch, SolverConfig(0.1, 30.0), 1, 0.0, 1, "regular"
+    )
+    result = run_campaign(plan, workers=1)
+    assert result.degraded and result.degraded_pairs == (0,)
+    pair = result.pairs[0]
+    for spec in (pair.before, pair.after):
+        assert spec.status == "ok" and spec.complete
+        assert spec.multiplicities.max() > 1
+    assert result.levels_before == pair.before.count == result.levels_after
+    assert result.spacings.spacings.size == 0
+    assert sum(result.shift.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_total_length_constant_across_campaign():

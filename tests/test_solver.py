@@ -145,7 +145,23 @@ def test_numerics_solve_kernel_budget(monkeypatch):
     spec = solve_spectrum(plan.pairs[0][0], plan.solver)
     assert spec.status == "ok" and spec.complete
     assert len(calls) <= 40
-    assert sum(points) <= 25 * spec.count
+    assert sum(points) <= 10 * spec.count
+
+
+def test_coarse_default_scan_matches_fine_scan(rng):
+    # per-cell winding counts are exact at any step, so the default two
+    # points per mean spacing finds what an eight-point scan finds
+    for _ in range(20):
+        g = random_k4(rng, phase_scale=1.0)
+        cfg = SolverConfig(0.1, 40.0)
+        coarse = solve_spectrum(g, cfg)
+        fine = solve_spectrum(
+            g, SolverConfig(0.1, 40.0, scan_step=math.pi / (8.0 * g.total_length))
+        )
+        assert coarse.status == "ok" and fine.status == "ok"
+        assert coarse.count == fine.count
+        assert np.array_equal(coarse.multiplicities, fine.multiplicities)
+        assert np.abs(coarse.wavenumbers - fine.wavenumbers).max() < 1e-9
 
 
 def test_loop_spectrum_degenerate():
