@@ -226,14 +226,21 @@ class PairResult:
             and self.after.complete
             and self.before.status == "ok"
             and self.after.status == "ok"
-            and not _degenerate(self.before)
-            and not _degenerate(self.after)
+            and _unfoldable(self.before)
+            and _unfoldable(self.after)
         )
 
 
-def _degenerate(spectrum: Spectrum) -> bool:
-    """A multiple level: zero spacings, so the side cannot be unfolded."""
-    return bool(np.any(spectrum.multiplicities > 1))
+def _unfoldable(spectrum: Spectrum) -> bool:
+    """At least two levels, all simple: a multiple level gives zero spacings."""
+    return spectrum.wavenumbers.size >= 2 and not np.any(spectrum.multiplicities > 1)
+
+
+def _pair_degree(before: Spectrum, after: Spectrum) -> int:
+    """Interlacing degree, or the maximum |Delta N| when a side is empty."""
+    if before.count and after.count:
+        return interlacing_degree(before, after)
+    return max(before.count, after.count)
 
 
 @dataclass(frozen=True)
@@ -257,10 +264,11 @@ def _solve_one(args) -> Spectrum:
 def run_campaign(plan: CampaignPlan, workers: int = 1) -> CampaignResult:
     """Solve every pair of the plan and aggregate the statistics.
 
-    Degraded pairs (either side incomplete or holding a multiple level)
-    are excluded from the pooled statistics but retained in the report.
-    When every pair is degraded all of them are pooled, except that sides
-    with a multiple level never enter the spacing pool.
+    Degraded pairs (either side incomplete, holding a multiple level or
+    fewer than two levels) are excluded from the pooled statistics but
+    retained in the report.  When every pair is degraded all of them are
+    pooled, except that sides that cannot be unfolded never enter the
+    spacing pool.
     """
     tasks = []
     for before, after in plan.pairs:
@@ -281,7 +289,7 @@ def run_campaign(plan: CampaignPlan, workers: int = 1) -> CampaignResult:
                 before=before,
                 after=after,
                 shift=shift_distribution(before, after),
-                degree=interlacing_degree(before, after),
+                degree=_pair_degree(before, after),
             )
         )
 
@@ -294,7 +302,7 @@ def run_campaign(plan: CampaignPlan, workers: int = 1) -> CampaignResult:
             unfold_spacings(spec, source=f"pair{p.index}/{side}")
             for p in pool_from
             for side, spec in (("before", p.before), ("after", p.after))
-            if not _degenerate(spec)
+            if _unfoldable(spec)
         ],
         source="campaign",
     )

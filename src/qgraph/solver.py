@@ -213,8 +213,9 @@ def fluctuation_envelope(
 # scan / isolate / verify
 # ---------------------------------------------------------------------------
 
-# Eigenphases from a 2E x 2E eigendecomposition carry rounding errors near
-# 1e-15; a phase this close to zero is taken as a root whatever
+# The Cayley-map kernel's eigenphase errors are about eps * max|tan(phi/2)|,
+# which its rotations keep below eps * max(100, 2 (2E + 1) / pi), 2.2e-14 up
+# to 78 edges.  A phase this close to zero is taken as a root whatever
 # root_tolerance asks for, so no decision rests on the sign of noise.
 PHASE_FLOOR = 1e-12
 

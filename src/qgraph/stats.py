@@ -294,6 +294,8 @@ def _mean_shift(segments, lo: float, hi: float) -> float:
 
 
 def _nfl_drift(spectrum: Spectrum, split_k: float) -> float:
+    if spectrum.count == 0:
+        return 0.0
     ks, nfl = fluctuating_count(spectrum)
     lo = nfl[ks <= split_k]
     hi = nfl[ks > split_k]

@@ -34,6 +34,14 @@ def random_k4(rng, phase_scale=0.0):
     return MetricGraph(vertices=(0, 1, 2, 3), edges=edges)
 
 
+def eigvals_eigenphases(ks, lengths, chis, smat):
+    """Reference kernel: the phases of the general eigenvalues of U(k), in
+    [0, 2 pi); same signature as qgraph.kernels.eigenphases."""
+    d = np.exp(1j * (ks[:, None] * lengths[None, :] + chis[None, :]))
+    u = d[:, :, None] * smat[None, :, :]
+    return np.mod(np.angle(np.linalg.eigvals(u)), 2 * np.pi)
+
+
 def make_spectrum(ks, window, total_length, mults=None):
     """Hand-built Spectrum for statistics tests."""
     ks = np.asarray(ks, dtype=float)

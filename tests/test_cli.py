@@ -214,6 +214,30 @@ def test_campaign_graph_file_degenerate_levels(tmp_path, capsys):
     assert qio.read_spacings_csv(run / "spacings.csv").spacings.size == 0
 
 
+@pytest.mark.parametrize("k_max, levels", [(4.867, 1), (3.0, 0)])
+def test_campaign_sparse_window(goe_a_file, tmp_path, capsys, k_max, levels):
+    # one level or none per side degrades the pair (exit 1) instead of
+    # aborting the campaign (exit 2)
+    manifest = {
+        "graph_file": goe_a_file,
+        "switch": {"pivot": 0, "edge_a": 3, "edge_b": 5},
+        "randomized": {"count": 1, "jitter": 0.0},
+        "window_k": [0.1, k_max],
+    }
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps(manifest))
+    run = tmp_path / "run"
+    assert main(["campaign", str(mpath), "--out", str(run)]) == 1
+    assert "DEGRADED pairs: [0]" in capsys.readouterr().out
+    echo = json.loads((run / "manifest_echo.json").read_text())
+    assert echo["degraded_pairs"] == [0]
+    assert echo["levels_before"] == levels == echo["levels_after"]
+    spectrum = qio.read_spectrum_csv(run / "spectra" / "pair000_after.csv")
+    assert spectrum["k_rad_per_m"].size == levels
+    assert qio.read_spacings_csv(run / "spacings.csv").spacings.size == 0
+    assert qio.read_interlacing_csv(run / "interlacing.csv") == [(0, levels, 0)]
+
+
 def test_campaign_empty_manifest(tmp_path):
     mpath = tmp_path / "empty.json"
     mpath.write_text("{}")

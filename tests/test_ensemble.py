@@ -170,6 +170,27 @@ def test_campaign_degenerate_levels_degrade_pair():
     assert sum(result.shift.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("k_max, levels", [(4.867, 1), (3.0, 0)])
+def test_campaign_sparse_window_degrades_pair(k_max, levels):
+    # a side with fewer than two levels has no spacing to unfold (and an
+    # empty one no interlacing partner): the pair is degraded, keeps its
+    # spectra and leaves the spacing pool, and the campaign still completes
+    p = preset("goe_a")
+    plan = randomized_plan(
+        p.graph, p.sweep.switch, SolverConfig(0.1, k_max), 1, 0.0, 1, "goe_a"
+    )
+    result = run_campaign(plan, workers=1)
+    assert result.degraded and result.degraded_pairs == (0,)
+    pair = result.pairs[0]
+    for spec in (pair.before, pair.after):
+        assert spec.status == "ok" and spec.complete
+        assert spec.count == levels
+    assert result.levels_before == levels == result.levels_after
+    assert result.interlacing_degrees == (levels,)
+    assert result.spacings.spacings.size == 0
+    assert sum(result.shift.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_total_length_constant_across_campaign():
     plan_pairs = generate_configurations(preset("goe_a").sweep)
     totals = {g.total_length for pair in plan_pairs for g in pair}

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from qgraph.solver import (
 )
 from qgraph.units import k_from_ghz
 
-from conftest import interval_graph, loop_graph, random_k4, three_star
+from conftest import eigvals_eigenphases, interval_graph, loop_graph, random_k4, three_star
 
 # dense k-scan of the secular residual at step 1e-5 over (0.1, 20) with
 # parabolic refinement of the squared residual; arms 1.0 / 0.7 / 0.5
@@ -162,6 +163,31 @@ def test_coarse_default_scan_matches_fine_scan(rng):
         assert coarse.count == fine.count
         assert np.array_equal(coarse.multiplicities, fine.multiplicities)
         assert np.abs(coarse.wavenumbers - fine.wavenumbers).max() < 1e-9
+
+
+def test_spectra_match_eigvals_kernel(rng, monkeypatch):
+    # the solver on the Cayley kernel against the solver on the general
+    # eigvals phases: phased random K4 graphs and near-regular tetrahedra,
+    # whose close levels put phase pairs near zero together
+    base = preset("goe_a").graph
+    cases = [(random_k4(rng, phase_scale=1.0), SolverConfig(0.1, 40.0)) for _ in range(20)]
+    for spread in (1e-7, 4e-3):
+        for _ in range(3):
+            near_regular = base.with_edges(
+                tuple(
+                    replace(e, length=0.5 + spread * rng.uniform(-1.0, 1.0), phase_per_m=0.0)
+                    for e in base.edges
+                )
+            )
+            cases.append((near_regular, SolverConfig(0.1, 60.0)))
+    cayley = [solve_spectrum(g, cfg) for g, cfg in cases]
+    monkeypatch.setattr(kernels, "eigenphases", eigvals_eigenphases)
+    for (g, cfg), got in zip(cases, cayley):
+        want = solve_spectrum(g, cfg)
+        assert got.status == want.status == "ok"
+        assert got.count == want.count
+        assert np.array_equal(got.multiplicities, want.multiplicities)
+        assert np.abs(got.wavenumbers - want.wavenumbers).max() < 1e-10
 
 
 def test_loop_spectrum_degenerate():

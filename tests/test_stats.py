@@ -232,6 +232,15 @@ def test_missing_resonances_flags_before_side():
     assert report.suspect == "before"
 
 
+def test_missing_resonances_empty_side():
+    # an empty side has no counting drift to measure; the flag still stands
+    before = make_spectrum([], (0.0, 4.0), 1.0)
+    after = make_spectrum([1.0, 2.0, 3.0], (0.0, 4.0), 1.0)
+    report = detect_missing_resonances(before, after)
+    assert not report.clean
+    assert report.drift_before == 0.0
+
+
 # --------------------------------------------------------------------------
 # unfolding and spacing samples
 # --------------------------------------------------------------------------
