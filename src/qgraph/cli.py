@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -45,13 +44,6 @@ def _parse_window(args) -> tuple[float, float]:
         lo, hi = (float(x) for x in args.window_ghz.split(":"))
         return k_from_ghz(lo), k_from_ghz(hi)
     raise ValueError("a window is required: --window-ghz a:b or --window-k a:b")
-
-
-def _workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get("QGRAPH_WORKERS")
-    return int(env) if env else 1
 
 
 def cmd_validate(args) -> CommandOutcome:
@@ -127,7 +119,7 @@ def cmd_compare(args) -> CommandOutcome:
 def cmd_campaign(args) -> CommandOutcome:
     manifest = load_manifest(args.manifest)
     plan = plan_from_manifest(manifest)
-    result = run_campaign(plan, workers=_workers(args))
+    result = run_campaign(plan, workers=args.workers)
     out_dir = args.out or manifest.get("out_dir")
     if not out_dir:
         raise ValueError("no output directory: pass --out or set out_dir in the manifest")
@@ -230,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("campaign", help="run a campaign manifest")
     p.add_argument("manifest")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_campaign)
 

@@ -107,14 +107,12 @@ def randomized_ensemble(
     count: int,
     length_jitter: float,
     seed: int,
-    compensation_edge: int | None = None,
 ) -> list[MetricGraph]:
     """Seeded length-jittered copies of a graph at constant total length.
 
-    Every edge except the compensation edge (default: the longest) is
-    scaled by 1 + jitter * u with u uniform on [-1, 1]; the compensation
-    edge absorbs the difference so the exactly-rounded total matches the
-    base bit for bit.
+    Every edge except the longest is scaled by 1 + jitter * u with u
+    uniform on [-1, 1]; the longest (the compensation edge) absorbs the
+    difference so the exactly-rounded total matches the base bit for bit.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -124,9 +122,7 @@ def randomized_ensemble(
         if count != 1:
             raise ValueError("zero jitter cannot produce distinct configurations")
         return [base]
-    if compensation_edge is None:
-        compensation_edge = max(base.edges, key=lambda e: e.length).id
-    base.edge_by_id(compensation_edge)
+    compensation_edge = max(base.edges, key=lambda e: e.length).id
     total = base.total_length
     rng = np.random.default_rng(seed)
     out = []

@@ -76,7 +76,10 @@ def eigenphases(
         todo = todo[~done]
         if todo.size == 0:
             break
-    return np.mod(phases, TWO_PI)
+    # np.mod maps a phase a hair below 0 to exactly 2 pi
+    phases = np.mod(phases, TWO_PI)
+    phases[phases == TWO_PI] = 0.0
+    return phases
 
 
 # perfbench/workloads.py times the kernel under this name and runs unchanged

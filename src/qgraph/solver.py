@@ -37,7 +37,6 @@ import scipy.sparse.linalg as spla
 
 from . import kernels
 from .graphs import MetricGraph, negate_phases, validate
-from .units import ghz_from_k
 
 __all__ = [
     "SolverConfig",
@@ -57,6 +56,10 @@ TWO_PI = 2.0 * math.pi
 # O(1) bound on the fluctuating part of the counting function; exceeding it
 # marks the spectrum incomplete.
 NFL_BOUND = 3.0
+
+# Isolation iterations before cells still open are left to the final
+# winding verification.
+MAX_REFINEMENT_ITERATIONS = 200
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +138,6 @@ class SolverConfig:
     scan_step: float | None = None
     root_tolerance: float = 1e-10
     residual_threshold: float = 1e-6
-    max_refinement_iterations: int = 200
 
     def check(self) -> None:
         if not (0.0 < self.k_min < self.k_max):
@@ -146,8 +148,6 @@ class SolverConfig:
             raise ValueError("root_tolerance must be positive")
         if not (self.residual_threshold > 0.0):
             raise ValueError("residual_threshold must be positive")
-        if self.max_refinement_iterations < 10:
-            raise ValueError("max_refinement_iterations must be at least 10")
 
     def effective_step(self, total_length: float) -> float:
         if self.scan_step is not None:
@@ -187,9 +187,6 @@ class Spectrum:
     def expanded(self) -> np.ndarray:
         """Wavenumbers repeated by multiplicity (sorted ascending)."""
         return np.repeat(self.wavenumbers, self.multiplicities)
-
-    def frequencies_ghz(self) -> np.ndarray:
-        return np.array([ghz_from_k(k) for k in self.wavenumbers])
 
 
 def fluctuation_envelope(
@@ -270,7 +267,7 @@ def _isolate_roots(
     between (a, x] and (x, b]; empty halves are dropped.  A cell is done
     when all its roots sit on its right end, or when it is narrower than
     root_tolerance (a multiple root, reported at its midpoint).  Cells
-    still open after max_refinement_iterations are left out, which the
+    still open after MAX_REFINEMENT_ITERATIONS are left out, which the
     final winding verification reports.
     """
     w, f, on_root = scan
@@ -288,7 +285,7 @@ def _isolate_roots(
 
     roots: list[np.ndarray] = []
     mults: list[np.ndarray] = []
-    for _ in range(config.max_refinement_iterations):
+    for _ in range(MAX_REFINEMENT_ITERATIONS):
         a, b, count = cells["a"], cells["b"], cells["count"]
         on_end = cells["on_b"] >= count
         narrow = ~on_end & (b - a < config.root_tolerance)
@@ -528,14 +525,11 @@ def drop_levels(spectrum: Spectrum, indices: list[int] | tuple[int, ...]) -> Spe
     """
     expanded = spectrum.expanded()
     n = expanded.size
-    drop = set()
     for idx in indices:
         if not (1 <= idx <= n):
             raise ValueError(f"level index {idx} out of range 1..{n}")
-        drop.add(idx - 1)
-    keep = np.array([i for i in range(n) if i not in drop], dtype=np.int64)
-    kept = expanded[keep]
-    ks, mults = _recollapse(kept)
+    kept = np.delete(expanded, np.asarray(indices, dtype=np.int64) - 1)
+    ks, mults = np.unique(kept, return_counts=True)
     nfl_max = fluctuation_envelope(kept, spectrum.window, spectrum.total_length)
     return Spectrum(
         wavenumbers=ks,
@@ -548,17 +542,3 @@ def drop_levels(spectrum: Spectrum, indices: list[int] | tuple[int, ...]) -> Spe
         nfl_max=nfl_max,
         messages=spectrum.messages + (f"dropped level(s) {sorted(indices)}",),
     )
-
-
-def _recollapse(expanded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if expanded.size == 0:
-        return np.empty(0), np.empty(0, dtype=np.int64)
-    ks = [expanded[0]]
-    mults = [1]
-    for k in expanded[1:]:
-        if k == ks[-1]:
-            mults[-1] += 1
-        else:
-            ks.append(k)
-            mults.append(1)
-    return np.array(ks), np.array(mults, dtype=np.int64)

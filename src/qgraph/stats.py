@@ -77,13 +77,6 @@ class CountingFunction:
             float
         )
 
-    def step_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """(k, N) pairs tracing the staircase, window edges included."""
-        k_lo, k_hi = self.window
-        ks = np.concatenate([[k_lo], self._ks, [k_hi]])
-        ns = np.concatenate([[0.0], np.arange(1, self._ks.size + 1), [float(self._ks.size)]])
-        return ks, ns
-
 
 # ---------------------------------------------------------------------------
 # spectral shift
@@ -116,50 +109,38 @@ class ShiftDistribution:
         return self.probabilities.get(m, 0.0)
 
 
-def _shift_segments(
-    before: Spectrum, after: Spectrum, window: tuple[float, float]
-) -> list[tuple[float, float, int]]:
-    """(k_start, k_end, Delta N) segments of the shift over the window."""
-    k_lo, k_hi = window
-    events: dict[float, int] = {}
-    for spec, sign in ((before, 1), (after, -1)):
-        for k, m in zip(spec.wavenumbers, spec.multiplicities):
-            if k_lo < k <= k_hi:
-                events[float(k)] = events.get(float(k), 0) + sign * int(m)
-    segments = []
-    current = 0
-    prev = k_lo
-    for k in sorted(events):
-        if k > prev:
-            segments.append((prev, k, current))
-        current += events[k]
-        prev = k
-    if k_hi > prev:
-        segments.append((prev, k_hi, current))
-    return segments
+def _shift_steps(before: Spectrum, after: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """The spectral shift Delta N = N - N_tilde as a staircase over the window.
+
+    `edges` is k_lo, every level of either side in (k_lo, k_hi], then k_hi;
+    dn[j] is Delta N on [edges[j], edges[j+1]), each side counting its
+    in-window levels up to edges[j].  A level on k_hi leaves one zero-width
+    segment at the end, which carries Delta N(k_hi).
+    """
+    if before.window != after.window:
+        raise ValueError(f"windows differ: {before.window} vs {after.window}")
+    k_lo, k_hi = before.window
+    a, b = (ks[(ks > k_lo) & (ks <= k_hi)] for ks in (before.expanded(), after.expanded()))
+    edges = np.concatenate(([k_lo], np.unique(np.concatenate((a, b))), [k_hi]))
+    dn = np.searchsorted(a, edges[:-1], "right") - np.searchsorted(b, edges[:-1], "right")
+    return edges, dn
 
 
-def shift_distribution(
-    before: Spectrum, after: Spectrum, window: tuple[float, float] | None = None
-) -> ShiftDistribution:
+def shift_distribution(before: Spectrum, after: Spectrum) -> ShiftDistribution:
     """Exact measure of each integer value of N(k) - N_tilde(k).
 
     The shift is piecewise constant with breakpoints at the merged level
     set; each integer's mass is the summed segment length divided by the
     window length (one normalization, no sampling grid).
     """
-    if before.window != after.window:
-        raise ValueError(f"windows differ: {before.window} vs {after.window}")
-    if window is None:
-        window = before.window
-    if window[0] < before.window[0] or window[1] > before.window[1]:
-        raise ValueError(f"window {window} not covered by spectra {before.window}")
+    edges, dn = _shift_steps(before, after)
     measures: dict[int, float] = {}
-    for a, b, v in _shift_segments(before, after, window):
-        measures[v] = measures.get(v, 0.0) + (b - a)
+    for v, width in zip(dn.tolist(), np.diff(edges).tolist()):
+        if width > 0.0:
+            measures[v] = measures.get(v, 0.0) + width
     total = sum(measures.values())
     probs = {m: v / total for m, v in measures.items()}
-    return ShiftDistribution(probabilities=probs, window=window, pair_count=1)
+    return ShiftDistribution(probabilities=probs, window=before.window, pair_count=1)
 
 
 def pool_shift_distributions(dists: list[ShiftDistribution]) -> ShiftDistribution:
@@ -193,31 +174,18 @@ def pool_shift_distributions(dists: list[ShiftDistribution]) -> ShiftDistributio
 # ---------------------------------------------------------------------------
 
 
-def _one_sided_degree(a: np.ndarray, b: np.ndarray) -> int:
-    n = np.arange(1, b.size + 1)
-    p = np.searchsorted(a, b, side="right")  # how many a-levels are <= b_n
-    q = np.searchsorted(a, b, side="left")  # how many a-levels are < b_n
-    r_lower = np.maximum(0, n - p)
-    r_upper = np.maximum(0, q + 1 - n)
-    return int(max(r_lower.max(), r_upper.max()))
-
-
 def interlacing_degree(before: Spectrum, after: Spectrum) -> int:
-    """Minimal r with nu_{n-r} <= nu~_n <= nu_{n+r} wherever both exist.
+    """Minimal r with nu_{n-r} <= nu~_n <= nu_{n+r}: the maximum |Delta N|.
 
-    Indices whose partner falls outside the window are skipped, not
-    assumed satisfied; the constraint set is symmetrized over the two
-    spectra, which makes the degree equal to the maximum |Delta N| of the
-    pair's counting functions anchored at the window's lower edge.
-    Identical spectra give r = 0.
+    Two spectra are r-interlaced exactly when sup |N(k) - N_tilde(k)| <= r
+    (Aizenman, Schanz, Smilansky & Warzel, Acta Phys. Pol. A 132, 1699
+    (2017)), with both counting functions anchored at the window's lower
+    edge.  Identical spectra give r = 0.
     """
-    if before.window != after.window:
-        raise ValueError(f"windows differ: {before.window} vs {after.window}")
-    a = before.expanded()
-    b = after.expanded()
-    if a.size == 0 or b.size == 0:
+    _, dn = _shift_steps(before, after)
+    if before.count == 0 or after.count == 0:
         raise ValueError("interlacing degree needs non-empty spectra")
-    return max(_one_sided_degree(a, b), _one_sided_degree(b, a))
+    return int(np.abs(dn).max())
 
 
 @dataclass(frozen=True)
@@ -245,10 +213,13 @@ def detect_missing_resonances(before: Spectrum, after: Spectrum) -> MissingLevel
     step sign identifies which spectrum lost the level (the loser also
     shows the extra N_fl drop, reported as the drift across the step).
     """
-    window = before.window
+    edges, dn = _shift_steps(before, after)
     mean_spacing = math.pi / before.total_length
-    segments = _shift_segments(before, after, window)
-    flagged = tuple((a, b, v) for a, b, v in segments if abs(v) >= 2)
+    flagged = tuple(
+        (a, b, v)
+        for a, b, v in zip(edges[:-1].tolist(), edges[1:].tolist(), dn.tolist())
+        if b > a and abs(v) >= 2
+    )
     if not flagged:
         return MissingLevelReport(
             flagged=(),
@@ -258,17 +229,20 @@ def detect_missing_resonances(before: Spectrum, after: Spectrum) -> MissingLevel
             drift_after=None,
             mean_spacing=mean_spacing,
         )
-    total = window[1] - window[0]
-    mean_shift = sum(v * (b - a) for a, b, v in segments) / total
-    # integrated centered shift: piecewise linear, extremal at the step
-    best_k, best_g, g = window[0], 0.0, 0.0
-    for a, b, v in segments:
-        g += (v - mean_shift) * (b - a)
-        if abs(g) > abs(best_g):
-            best_g, best_k = g, b
-    before_mean = _mean_shift(segments, window[0], best_k)
-    after_mean = _mean_shift(segments, best_k, window[1])
-    step = after_mean - before_mean
+    widths = np.diff(edges)
+
+    def mean_shift(seg: slice) -> float:
+        # np.cumsum adds in segment order, unlike np.sum's pairwise order
+        num, den = np.cumsum(dn[seg] * widths[seg]), np.cumsum(widths[seg])
+        return num[-1] / den[-1] if den.size and den[-1] > 0.0 else 0.0
+
+    # integrated centered shift at each edge: piecewise linear, extremal at
+    # the step; argmax keeps the first extremum
+    centered = dn - np.cumsum(dn * widths)[-1] / (edges[-1] - edges[0])
+    g = np.concatenate(([0.0], np.cumsum(centered * widths)))
+    j = int(np.abs(g).argmax())
+    best_k = float(edges[j])
+    step = mean_shift(slice(j, None)) - mean_shift(slice(0, j))
     suspect = "after" if step > 0 else "before"
     drift_b = _nfl_drift(before, best_k)
     drift_a = _nfl_drift(after, best_k)
@@ -280,17 +254,6 @@ def detect_missing_resonances(before: Spectrum, after: Spectrum) -> MissingLevel
         drift_after=drift_a,
         mean_spacing=mean_spacing,
     )
-
-
-def _mean_shift(segments, lo: float, hi: float) -> float:
-    num = 0.0
-    den = 0.0
-    for a, b, v in segments:
-        aa, bb = max(a, lo), min(b, hi)
-        if bb > aa:
-            num += v * (bb - aa)
-            den += bb - aa
-    return num / den if den > 0 else 0.0
 
 
 def _nfl_drift(spectrum: Spectrum, split_k: float) -> float:
@@ -315,7 +278,6 @@ class SpacingSample:
 
     spacings: np.ndarray
     source: str = ""
-    config_count: int = 1
 
     def __post_init__(self):
         self.spacings.setflags(write=False)
@@ -335,26 +297,27 @@ def unfold_spacings(spectrum: Spectrum, source: str = "") -> SpacingSample:
     s = np.diff(ks) * spectrum.total_length / math.pi
     if np.any(s <= 0.0):
         raise ValueError("degenerate levels produce zero spacings; cannot unfold")
-    return SpacingSample(spacings=np.sort(s), source=source, config_count=1)
+    return SpacingSample(spacings=np.sort(s), source=source)
 
 
 def pool_spacings(samples: list[SpacingSample], source: str = "pooled") -> SpacingSample:
     """All spacings of the samples in one sorted sample; empty when none."""
     parts = [s.spacings for s in samples]
     joined = np.sort(np.concatenate(parts)) if parts else np.empty(0)
-    return SpacingSample(
-        spacings=joined, source=source, config_count=sum(s.config_count for s in samples)
-    )
+    return SpacingSample(spacings=joined, source=source)
 
 
-def spacing_histogram(
-    sample: SpacingSample, bin_width: float = 0.1, s_max: float = 4.0
-) -> tuple[np.ndarray, np.ndarray]:
+# Spacing histogram bins: width BIN_WIDTH over [0, S_MAX].
+BIN_WIDTH = 0.1
+S_MAX = 4.0
+
+
+def spacing_histogram(sample: SpacingSample) -> tuple[np.ndarray, np.ndarray]:
     """Bin centers and empirical density, normalized by the full sample size
-    so tail mass beyond s_max correctly lowers the in-range bins."""
-    edges = np.arange(0.0, s_max + 0.5 * bin_width, bin_width)
+    so tail mass beyond S_MAX correctly lowers the in-range bins."""
+    edges = np.arange(0.0, S_MAX + 0.5 * BIN_WIDTH, BIN_WIDTH)
     counts, _ = np.histogram(sample.spacings, bins=edges)
-    density = counts / (max(sample.spacings.size, 1) * bin_width)
+    density = counts / (max(sample.spacings.size, 1) * BIN_WIDTH)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return centers, density
 
@@ -428,9 +391,7 @@ class TransitionFitResult:
 MIN_FIT_SPACINGS = 200
 
 
-def fit_xi(
-    sample: SpacingSample, bin_width: float = 0.1, s_max: float = 4.0
-) -> TransitionFitResult:
+def fit_xi(sample: SpacingSample) -> TransitionFitResult:
     """Least-squares fit of the transition density to a binned sample.
 
     The sample is binned here, zero-count bins included.  A first
@@ -442,7 +403,7 @@ def fit_xi(
     n_samples = sample.spacings.size
     if n_samples < MIN_FIT_SPACINGS:
         raise ValueError(f"need at least {MIN_FIT_SPACINGS} spacings, got {n_samples}")
-    centers, density = spacing_histogram(sample, bin_width, s_max)
+    centers, density = spacing_histogram(sample)
     first = least_squares(
         lambda p: transition_pdf(centers, p[0]) - density, x0=[1.0], bounds=([0.0], [np.inf])
     )
@@ -451,7 +412,7 @@ def fit_xi(
             f"xi fit did not converge: {first.message}; final cost {first.cost!r}"
         )
     model = np.maximum(transition_pdf(centers, float(first.x[0])), 1e-3)
-    sigma = np.sqrt(model / (n_samples * bin_width))
+    sigma = np.sqrt(model / (n_samples * BIN_WIDTH))
     result = least_squares(
         lambda p: (transition_pdf(centers, p[0]) - density) / sigma,
         x0=first.x,

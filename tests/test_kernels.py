@@ -8,7 +8,7 @@ from qgraph import kernels
 from qgraph.graphs import Edge, MetricGraph
 from qgraph.solver import bond_basis, bond_matrix
 
-from conftest import eigvals_eigenphases, interval_graph, random_k4
+from conftest import eigvals_eigenphases, interval_graph, loop_graph, random_k4
 
 K4_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -119,6 +119,17 @@ def test_eigenphases_singular_first_pass():
     got = kernels.eigenphases(ks, *basis)
     assert np.abs(np.sort(got[0]) - [0.0, math.pi]).max() < 1e-15
     assert phase_distance(got, eigvals_eigenphases(ks, *basis)) < 1e-12
+
+
+@pytest.mark.parametrize("graph", [interval_graph(), loop_graph()], ids=["interval", "loop"])
+def test_eigenphases_half_open_range(graph):
+    # at k = n pi every phase of these graphs is a multiple of pi, and one a
+    # hair below 0 must fold to 0, not to 2 pi
+    basis = bond_basis(graph)
+    ks = np.arange(1, 400) * math.pi
+    singles = [kernels.eigenphases(ks[i : i + 1], *basis) for i in range(ks.size)]
+    for got in [kernels.eigenphases(ks, *basis)] + singles:
+        assert np.all((got >= 0.0) & (got < 2 * math.pi))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -121,6 +121,40 @@ def test_shift_masses_sum_to_one(rng):
         assert sum(d.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+def _grid_side(rng, window):
+    """Levels on a coarse grid whose last point is k_hi, so that the two sides
+    share levels and a level can sit on the window's upper edge; each level
+    has multiplicity 1 or 2.  Returns the spectrum and its expanded levels."""
+    grid = np.linspace(window[0], window[1], 41)[1:]
+    ks = np.unique(rng.choice(grid, size=rng.integers(1, 30)))
+    mults = rng.integers(1, 3, size=ks.size)
+    return make_spectrum(ks, window, 2.0, mults), np.repeat(ks, mults)
+
+
+def _shift_masses(a, b, window):
+    """Independent oracle: Delta N at the midpoint of every merged segment,
+    weighted by the segment's share of the window."""
+    cuts = np.unique(np.concatenate([window, a, b]))
+    masses = {}
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (lo + hi)
+        dn = int(np.sum(a <= mid) - np.sum(b <= mid))
+        masses[dn] = masses.get(dn, 0.0) + (hi - lo) / (window[1] - window[0])
+    return masses
+
+
+def test_shift_matches_midpoint_oracle(rng):
+    # shared levels, double levels and levels on k_hi
+    window = (0.0, 100.0)
+    for _ in range(300):
+        (sa, a), (sb, b) = _grid_side(rng, window), _grid_side(rng, window)
+        d = shift_distribution(sa, sb)
+        want = _shift_masses(a, b, window)
+        assert sorted(d.probabilities) == sorted(want)
+        for m, p in want.items():
+            assert d.probability(m) == pytest.approx(p, abs=1e-12)
+
+
 def test_shift_window_mismatch_rejected():
     a = make_spectrum([1.0], (0.0, 4.0), 1.0)
     b = make_spectrum([1.0], (0.0, 5.0), 1.0)
@@ -187,6 +221,14 @@ def test_interlacing_equals_max_shift(rng):
         r = interlacing_degree(sa, sb)
         assert r == interlacing_degree(sb, sa)
         assert r == _max_abs_shift(a, b, window)
+    on_edge = 0
+    for _ in range(300):
+        (sa, a), (sb, b) = _grid_side(rng, window), _grid_side(rng, window)
+        r = interlacing_degree(sa, sb)
+        assert r == interlacing_degree(sb, sa)
+        assert r == _max_abs_shift(a, b, window)
+        on_edge += window[1] in a
+    assert on_edge > 0
 
 
 # --------------------------------------------------------------------------
@@ -230,6 +272,49 @@ def test_missing_resonances_flags_before_side():
     report = detect_missing_resonances(faulted, after)
     assert not report.clean
     assert report.suspect == "before"
+
+
+def _missing_reference(a, b, window):
+    """Loop reference: (flagged, suspect, estimated_k) from segments in order."""
+    cuts = np.unique(np.concatenate([window, a, b])).tolist()
+    segments = [
+        (lo, hi, int(np.sum(a <= 0.5 * (lo + hi)) - np.sum(b <= 0.5 * (lo + hi))))
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
+    flagged = tuple(s for s in segments if abs(s[2]) >= 2)
+    if not flagged:
+        return (), None, None
+    mean = sum(v * (hi - lo) for lo, hi, v in segments) / (window[1] - window[0])
+    best_k, best_g, g = window[0], 0.0, 0.0
+    for lo, hi, v in segments:
+        g += (v - mean) * (hi - lo)
+        if abs(g) > abs(best_g):
+            best_g, best_k = g, hi
+
+    def mean_between(x0, x1):
+        parts = [(v, min(hi, x1) - max(lo, x0)) for lo, hi, v in segments]
+        parts = [(v, w) for v, w in parts if w > 0]
+        return sum(v * w for v, w in parts) / sum(w for _, w in parts) if parts else 0.0
+
+    step = mean_between(best_k, window[1]) - mean_between(window[0], best_k)
+    return flagged, "after" if step > 0 else "before", best_k
+
+
+def test_missing_resonances_match_loop_reference(rng):
+    window = (0.0, 100.0)
+    for _ in range(300):
+        (sa, a), (sb, b) = _grid_side(rng, window), _grid_side(rng, window)
+        report = detect_missing_resonances(sa, sb)
+        assert (report.flagged, report.suspect, report.estimated_k) == _missing_reference(
+            a, b, window
+        )
+
+
+def test_missing_resonances_window_mismatch_rejected():
+    a = make_spectrum([1.0, 2.0, 3.0], (0.0, 4.0), 1.0)
+    b = make_spectrum([1.0], (0.0, 5.0), 1.0)
+    with pytest.raises(ValueError, match="windows differ"):
+        detect_missing_resonances(a, b)
 
 
 def test_missing_resonances_empty_side():
