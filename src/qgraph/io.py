@@ -164,16 +164,11 @@ COUNTING_HEADER = ["k_rad_per_m", "freq_GHz", "n_before", "n_after"]
 
 
 def write_counting_csv(path, before: Spectrum, after: Spectrum) -> None:
-    """Merged staircase data of a before/after pair."""
+    """Merged staircase data of a before/after pair: one row at each window
+    edge and at each level in the window, with both counting functions."""
     nb, na = CountingFunction(before), CountingFunction(after)
-    ks = np.unique(
-        np.concatenate(
-            [[before.window[0]], before.expanded(), after.expanded(), [before.window[1]]]
-        )
-    )
-    rows = [
-        (float(k), ghz_from_k(float(k)), float(nb(k)), float(na(k))) for k in ks
-    ]
+    ks = np.unique(np.concatenate([[before.window[0]], nb.levels, na.levels, [before.window[1]]]))
+    rows = zip(ks.tolist(), ghz_from_k(ks).tolist(), nb(ks).tolist(), na(ks).tolist())
     _write_rows(path, COUNTING_HEADER, rows)
 
 

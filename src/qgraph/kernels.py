@@ -1,18 +1,25 @@
-"""Hot numeric kernels: eigenphases of the bond propagation matrix.
+"""Hot numeric kernels: eigenvalues of the vertex matrix and eigenphases of
+the bond propagation matrix.
 
-Everything the secular solver needs at a wavenumber k comes from the
-eigenvalues of the unitary matrix U(k) = D(k) S: the secular residual is
-the distance of the nearest eigenphase to zero (U unitary makes I - U
-normal, so singular values of I - U are |1 - e^{i theta_j}|), and the sum
-of principal eigenphases yields an exact level count between two probe
-points.
+`vertex_eigenvalues` drives the solver's search.  The V x V Hermitian
+vertex secular matrix is M = cot(x) @ cot_part + csc(x) @ csc_part at the
+edge phases x_e = k l_e, one batched matrix product away from constant
+incidence arrays, and a batched `eigvalsh` gives its eigenvalues, whose
+signs, with the poles sin x_e = 0 passed, count the levels up to k.
+
+`eigenphases` verifies the search independently.  Everything it needs at
+a wavenumber k comes from the eigenvalues of the unitary matrix
+U(k) = D(k) S: the secular residual is the distance of the nearest
+eigenphase to zero (U unitary makes I - U normal, so singular values of
+I - U are |1 - e^{i theta_j}|), and the sum of principal eigenphases
+yields an exact level count between two probe points.
 
 The phases come from a Hermitian problem through the Cayley map.  For a
-unitary W with no eigenvalue at -1, M = (I + W)^-1 makes
-H = i (M - M^H) Hermitian (the Hermitian part of i (I - W)(I + W)^-1), and
+unitary W with no eigenvalue at -1, Q = (I + W)^-1 makes
+H = i (Q - Q^H) Hermitian (the Hermitian part of i (I - W)(I + W)^-1), and
 an eigenvalue e^{i phi} of W, phi in (-pi, pi), becomes the eigenvalue
 lambda = tan(phi / 2) of H.  One batched `inv` and one batched `eigvalsh`
-thus replace the general (non-Hermitian) eigensolver.  Rounding in M is
+thus replace the general (non-Hermitian) eigensolver.  Rounding in Q is
 about eps * max|lambda|, so the phase error grows near the pole phi = pi.
 The kernel therefore takes W = e^{-i alpha} U: a first pass at alpha = 0,
 then the points whose max|lambda| exceeds
@@ -29,9 +36,11 @@ bit-identical at any worker count.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["eigenphases", "eigenphases_numpy"]
+__all__ = ["eigenphases", "eigenphases_numpy", "vertex_eigenvalues"]
 
 TWO_PI = 2.0 * np.pi
 
@@ -44,10 +53,10 @@ def _cayley_tangents(w: np.ndarray) -> np.ndarray:
     the next rotation.
     """
     try:
-        m = np.linalg.inv(np.eye(w.shape[-1]) + w)
+        q = np.linalg.inv(np.eye(w.shape[-1]) + w)
     except np.linalg.LinAlgError:
         return np.full(w.shape[:2], np.inf)
-    return np.linalg.eigvalsh(1j * (m - m.conj().swapaxes(-1, -2)))
+    return np.linalg.eigvalsh(1j * (q - q.conj().swapaxes(-1, -2)))
 
 
 def eigenphases(
@@ -85,3 +94,18 @@ def eigenphases(
 # perfbench/workloads.py times the kernel under this name and runs unchanged
 # against every commit it compares, so the name stays.
 eigenphases_numpy = eigenphases
+
+
+def vertex_eigenvalues(
+    x: np.ndarray, cot_part: np.ndarray, csc_part: np.ndarray
+) -> np.ndarray:
+    """Ascending eigenvalues of the vertex matrices at the edge phases x.
+
+    M = cot(x) @ cot_part + csc(x) @ csc_part, reshaped to V x V.  x: (n, E)
+    edge phases k * l_e, none a multiple of pi; cot_part (E, V*V) real and
+    csc_part (E, V*V) complex, from `solver.vertex_basis`.  Returns (n, V).
+    """
+    csc = 1.0 / np.sin(x)
+    m = (np.cos(x) * csc) @ cot_part + csc @ csc_part
+    side = math.isqrt(cot_part.shape[1])
+    return np.linalg.eigvalsh(m.reshape(-1, side, side))

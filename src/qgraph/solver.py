@@ -6,21 +6,27 @@ magnetic phases exp(i (k + phi_b) L_b) and S the Neumann vertex
 amplitudes 2/d - delta.  Eigenvalues of the graph are the k > 0 where
 det(I - U(k)) = 0.
 
-Because U(k) is unitary, I - U(k) is normal: its singular values are the
-distances |1 - e^{i theta_j}| of the eigenphases from zero, and every
-eigenphase moves upward with velocity between the shortest and longest
-bond.  Two consequences drive the solver:
+Two exact level counts come with it:
 
-* the principal eigenphases sum to 2 L k minus 2 pi times the number of
-  eigenvalues passed, so the exact level count between two probe points
-  is available from two eigendecompositions.  One batched scan counts
-  the roots of every grid cell; batched bisection splits cells with
-  several roots, and the same winding count verifies at the end that no
-  root was missed;
-* near a simple root exactly one eigenphase crosses zero, upward, so the
-  signed eigenphase nearest zero changes sign across the root and a
-  batched Anderson-Bjorck (regula falsi) iteration on it polishes every
-  root at once.
+* the eigenphase winding.  U(k) is unitary and its eigenphases move
+  upward, so the principal eigenphases sum to 2 L k minus 2 pi times the
+  number of eigenvalues passed;
+* the vertex count.  The Hermitian V x V vertex secular matrix M(k)
+  (Kottos & Smilansky, Ann. Phys. 274, 76 (1999)) is singular exactly at
+  the eigenvalues away from the poles k l_e in pi Z, and its eigenvalues
+  rise with k.  sum_e floor(k l_e / pi) + n_+(M(k)) counts the levels up
+  to a constant (the graph form of Friedlander's Dirichlet-Neumann
+  count), with the constant equal to the winding's.
+
+The vertex count drives the search: one batched scan counts the roots of
+every grid cell, batched bisection splits cells with several roots, and a
+batched Anderson-Bjorck (regula falsi) iteration on a sign-changing
+function of M's eigenvalues polishes every root at once.  On the
+four-vertex networks its 4 x 4 eigenproblems cost about a tenth of the
+12 x 12 eigenphase problem.  Points where rounding could decide the
+vertex count are counted by eigenphases instead.  The eigenphase winding
+then verifies the result independently, between consecutive roots, and
+the smallest singular value of I - U(k) is reported at each root.
 
 An independent finite-difference discretization of the graph Laplacian
 (with Peierls phases on the links) serves as a cross-method oracle.
@@ -43,6 +49,7 @@ __all__ = [
     "Spectrum",
     "bond_basis",
     "bond_matrix",
+    "vertex_basis",
     "secular_residual",
     "solve_spectrum",
     "fd_oracle_spectrum",
@@ -100,6 +107,34 @@ def bond_basis(graph: MetricGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                     amp -= 1.0
                 smat[b_out, b_in] = amp
     return lengths, chis, smat
+
+
+def vertex_basis(graph: MetricGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge lengths and the constant parts of the vertex secular matrix.
+
+    With x_e = k l_e, the Hermitian V x V matrix
+    M = cot(x) @ cot_part + csc(x) @ csc_part, flattened row-major, has
+    M_uu = -sum over edge ends at u of cot x_e and
+    M_uv = sum over edges u -> v of exp(-i a_e l_e) / sin x_e (a the vector
+    potential along the stored direction); a loop at u adds
+    2 (cos(a l) - cos x) / sin x to M_uu.  Away from the poles
+    sin x_e = 0, k is an eigenvalue exactly when M(k) is singular, with
+    the same multiplicity.
+    """
+    n, m = len(graph.vertices), len(graph.edges)
+    lengths = np.array([e.length for e in graph.edges])
+    cot_part = np.zeros((m, n * n))
+    csc_part = np.zeros((m, n * n), dtype=np.complex128)
+    for i, e in enumerate(graph.edges):
+        flux = e.phase_per_m * e.length
+        cot_part[i, e.u * n + e.u] -= 1.0
+        cot_part[i, e.v * n + e.v] -= 1.0
+        if e.is_loop():
+            csc_part[i, e.u * n + e.u] += 2.0 * math.cos(flux)
+        else:
+            csc_part[i, e.u * n + e.v] += np.exp(-1j * flux)
+            csc_part[i, e.v * n + e.u] += np.exp(1j * flux)
+    return lengths, cot_part, csc_part
 
 
 def bond_matrix(graph: MetricGraph, k: float) -> np.ndarray:
@@ -216,39 +251,103 @@ def fluctuation_envelope(
 # root_tolerance asks for, so no decision rests on the sign of noise.
 PHASE_FLOOR = 1e-12
 
+# Every eigenvalue of the vertex matrix M(k) is computed to within
+# VERTEX_ROUNDING * eps * 2 d_max / min_e |sin k l_e|: the summed magnitudes
+# of the cot and csc terms bound each row of M by 2 d_max / min|sin|, and
+# their rounding plus the Hermitian eigensolver's backward error stayed at
+# or below 2.1 eps times that bound against 40-digit eigenvalues of the
+# same matrices, at 800 points from 1e-13 to 1e-1 off a pole on K4, star
+# and multi-edge graphs with a loop.  8 leaves a margin of four.
+VERTEX_ROUNDING = 8.0
+
+EPS = float(np.finfo(float).eps)
+
 
 class _BondProblem:
-    """Cached bond arrays plus the phase-based evaluations the solver needs."""
+    """Cached bond and vertex arrays plus the two level counts.
+
+    `evaluate` counts with the vertex matrix and drives the search;
+    `phase_count` counts with the eigenphases of U(k), verifies the
+    result and stands in where the vertex count cannot decide.
+    """
 
     def __init__(self, graph: MetricGraph, root_tolerance: float):
         self.lengths, self.chis, self.smat = bond_basis(graph)
+        self.edge_lengths, self.cot_part, self.csc_part = vertex_basis(graph)
         self.total_length = graph.total_length
         # eigenphases move upward no slower than the shortest bond, so a
         # phase within phase_tol of zero puts k within root_tolerance of a root
         self.v_min = float(self.lengths.min())
         self.phase_tol = max(self.v_min * root_tolerance, PHASE_FLOOR)
-
-    def phases(self, ks: np.ndarray) -> np.ndarray:
-        return kernels.eigenphases(ks, self.lengths, self.chis, self.smat)
+        # eigenvalues of M rise no slower than v_min / 2 (each edge block's
+        # k-derivative has eigenvalues l / (1 -/+ |cos k l|), a loop's at
+        # least l), so an eigenvalue computed within eig_tol of zero with an
+        # error below eig_tol puts k within root_tolerance of a root
+        self.eig_tol = 0.25 * self.v_min * root_tolerance
+        self.rounding = VERTEX_ROUNDING * EPS * 2.0 * max(map(graph.degree, graph.vertices))
+        self.n_vertices = len(graph.vertices)
+        self.offset = 0.5 * (len(graph.edges) + self.n_vertices)
 
     def evaluate(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Winding, signed nearest phase and number of roots at each k.
+        """Winding, polishing value and number of roots at each k.
+
+        The winding is sum_e floor(k l_e / pi) + n_+(M(k)) - (E + V) / 2,
+        the number `phase_count` gives: n_+ loses one where an eigenvalue
+        of M jumps from +inf to -inf at a pole, and the floor term gains
+        it.  An eigenvalue within eig_tol of zero marks a root at k and
+        counts as passed, so w(b) - w(a) is exactly the number of roots in
+        (a, b].  The polishing value
+        g = (-1)^(sum_e floor(k l_e / pi)) prod_i (2 / pi) arctan(lambda_i)
+        is continuous through the poles for the same reason, vanishes only
+        at roots and changes sign at every simple root.  Points where
+        rounding could flip the sign of an eigenvalue, or where
+        floor(x / pi) could disagree with the sign of sin x, are counted by
+        `phase_count`.
+        """
+        x = ks[:, None] * self.edge_lengths
+        s_min = np.abs(np.sin(x)).min(axis=1)
+        # x / pi carries a rounding of about eps x / pi, so floor(x / pi) is
+        # exact wherever every |sin x_e| exceeds 4 eps max x
+        idx = np.flatnonzero(s_min > 4.0 * EPS * x.max(axis=1))
+        lam = kernels.vertex_eigenvalues(x[idx], self.cot_part, self.csc_part)
+        # an eigenvalue decides its sign only when it lies farther from zero
+        # than its rounding error, or inside the root band when that error
+        # fits in the band
+        mag, err = np.abs(lam), (self.rounding / s_min[idx])[:, None]
+        ambiguous = (mag <= err) & ((mag > self.eig_tol) | (err > self.eig_tol))
+        trusted = ~ambiguous.any(axis=1)
+        idx, lam, mag = idx[trusted], lam[trusted], mag[trusted]
+
+        winding, g = np.empty(ks.size), np.empty(ks.size)
+        on_root = np.empty(ks.size, dtype=np.int64)
+        floors = np.floor(x[idx] / math.pi).sum(axis=1)
+        winding[idx] = floors + (lam >= -self.eig_tol).sum(axis=1) - self.offset
+        g[idx] = (1.0 - 2.0 * (floors % 2)) * (np.arctan(lam) / (0.5 * math.pi)).prod(axis=1)
+        on_root[idx] = (mag <= self.eig_tol).sum(axis=1)
+        rest = np.ones(ks.size, dtype=bool)
+        rest[idx] = False
+        if rest.any():
+            winding[rest], g[rest], on_root[rest] = self.phase_count(ks[rest])
+        return winding, g, on_root
+
+    def phase_count(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`evaluate`'s three arrays from the eigenphases of U(k).
 
         A phase within phase_tol of zero marks a root at k.  Its sign is
         rounding noise, so it always counts as passed: the winding
         (2 L k - sum of principal phases) / 2 pi then steps by one at each
-        root, and w(b) - w(a) is exactly the number of roots in (a, b].
-        The signed phase is the one nearest zero among the others, in
-        (-pi, pi]; it is negative just below a root and positive above.
+        root.  The polishing value is the distance of the nearest phase
+        from zero, with the sign `evaluate`'s g has at the same winding,
+        (-1)^(w + (E + V) / 2 + V).
         """
-        theta = self.phases(ks)
+        theta = kernels.eigenphases(ks, self.lengths, self.chis, self.smat)
         signed = np.where(theta > math.pi, theta - TWO_PI, theta)
         at_root = np.abs(signed) <= self.phase_tol
         passed = np.where(at_root, signed, theta)
         winding = (2.0 * self.total_length * ks - passed.sum(axis=1)) / TWO_PI
-        others = np.where(at_root, math.pi, signed)
-        nearest = np.take_along_axis(others, np.abs(others).argmin(axis=1)[:, None], axis=1)
-        return winding, nearest[:, 0], at_root.sum(axis=1)
+        parity = np.rint(winding + self.offset + self.n_vertices) % 2
+        g = (1.0 - 2.0 * parity) * np.abs(signed).min(axis=1)
+        return winding, g, at_root.sum(axis=1)
 
 
 def _isolate_roots(
@@ -261,14 +360,15 @@ def _isolate_roots(
 
     The scan's windings give the exact root count of every grid cell
     (a, b].  Each iteration evaluates one point x per cell in a single
-    kernel call: an Anderson-Bjorck (safeguarded regula falsi) step on the
-    signed phase when the cell holds one root and that phase goes from - at
-    a to + at b, the midpoint otherwise.  The winding at x splits the count
-    between (a, x] and (x, b]; empty halves are dropped.  A cell is done
-    when all its roots sit on its right end, or when it is narrower than
-    root_tolerance (a multiple root, reported at its midpoint).  Cells
-    still open after MAX_REFINEMENT_ITERATIONS are left out, which the
-    final winding verification reports.
+    call: an Anderson-Bjorck (safeguarded regula falsi) step on the
+    polishing value g when the cell holds one root, across which g changes
+    sign, the midpoint otherwise.  A step stays half a tolerance inside
+    the cell.  The winding at x splits the count between (a, x] and
+    (x, b]; empty halves are dropped.  A cell is done when all its roots
+    sit on its right end, or when it is narrower than root_tolerance (a
+    multiple root, reported at its midpoint).  Cells still open after
+    MAX_REFINEMENT_ITERATIONS are left out, which the final winding
+    verification reports.
     """
     w, f, on_root = scan
     count = np.rint(np.diff(w)).astype(np.int64)
@@ -297,9 +397,12 @@ def _isolate_roots(
         a, b, fa, fb, ga, gb, kept = (
             cells[key] for key in ("a", "b", "fa", "fb", "ga", "gb", "kept")
         )
-        falsi = (cells["count"] == 1) & (fa < 0.0) & (fb > 0.0)
+        falsi = (cells["count"] == 1) & (np.sign(fa) * np.sign(fb) < 0.0)
         x = b - gb * (b - a) / np.where(falsi, gb - ga, 1.0)
-        x = np.where(falsi & (x > a) & (x < b), x, 0.5 * (a + b))
+        # a root within half a tolerance of an end is then closed in by a
+        # cell narrower than root_tolerance, not approached from one side
+        half = 0.5 * config.root_tolerance
+        x = np.where(falsi, np.clip(x, a + half, b - half), 0.5 * (a + b))
         wx, fx, on_x = problem.evaluate(x)
 
         below = np.rint(wx - cells["wa"]).astype(np.int64)
@@ -347,10 +450,10 @@ def _svd_residuals(problem: _BondProblem, ks: np.ndarray) -> np.ndarray:
 def solve_spectrum(graph: MetricGraph, config: SolverConfig) -> Spectrum:
     """All eigenvalues of the graph in (k_min, k_max], verified complete.
 
-    A scan gives the exact eigenphase-winding count of every grid cell;
-    batched bisection and Anderson-Bjorck steps isolate and polish the
-    roots cell by cell (`_isolate_roots`).  The winding count is then
-    checked once more between consecutive roots: a segment holding fewer
+    A scan gives the exact vertex count of every grid cell; batched
+    bisection and Anderson-Bjorck steps isolate and polish the roots cell
+    by cell (`_isolate_roots`).  The eigenphase winding then counts each
+    segment between consecutive roots independently: a segment holding fewer
     roots than its count is reported through `status` and the
     completeness flag, never silently dropped.  A root within
     root_tolerance of a window edge lies on it: excluded at k_min,
@@ -377,12 +480,11 @@ def solve_spectrum(graph: MetricGraph, config: SolverConfig) -> Spectrum:
     keep, mults = _merge_close(ks[good], mults[good], 4.0 * problem.phase_tol / problem.v_min)
     ks, residuals = ks[good][keep], residuals[good][keep]
 
-    # exact count verification: probes at the window edges and midway
-    # between consecutive roots, so segment i holds root i alone
-    probes = 0.5 * (ks[1:] + ks[:-1])
-    edges = np.concatenate(([k_lo], probes, [k_hi]))
-    w_mid = problem.evaluate(probes)[0] if probes.size else probes
-    raw = np.diff(np.concatenate(([scan[0][0]], w_mid, [scan[0][-1]])))
+    # exact count verification by the eigenphase winding, independent of
+    # the vertex count that found the roots: probes at the window edges and
+    # midway between consecutive roots, so segment i holds root i alone
+    edges = np.concatenate(([k_lo], 0.5 * (ks[1:] + ks[:-1]), [k_hi]))
+    raw = np.diff(problem.phase_count(edges)[0])
     expected = np.rint(raw).astype(np.int64)
     found = mults if ks.size else np.zeros(1, dtype=np.int64)
 

@@ -65,15 +65,19 @@ def fluctuating_count(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
 
 
 class CountingFunction:
-    """Right-continuous step function N(k) of a spectrum over its window."""
+    """Right-continuous step function N(k) of a spectrum over its window.
+
+    Only levels in (k_lo, k_hi] count, as in the spectral shift; `levels`
+    holds them, repeated by multiplicity.
+    """
 
     def __init__(self, spectrum: Spectrum):
-        self.spectrum = spectrum
-        self.window = spectrum.window
-        self._ks = spectrum.expanded()
+        k_lo, k_hi = spectrum.window
+        ks = spectrum.expanded()
+        self.levels = ks[(ks > k_lo) & (ks <= k_hi)]
 
     def __call__(self, k) -> np.ndarray:
-        return np.searchsorted(self._ks, np.asarray(k, dtype=float), side="right").astype(
+        return np.searchsorted(self.levels, np.asarray(k, dtype=float), side="right").astype(
             float
         )
 
@@ -120,7 +124,7 @@ def _shift_steps(before: Spectrum, after: Spectrum) -> tuple[np.ndarray, np.ndar
     if before.window != after.window:
         raise ValueError(f"windows differ: {before.window} vs {after.window}")
     k_lo, k_hi = before.window
-    a, b = (ks[(ks > k_lo) & (ks <= k_hi)] for ks in (before.expanded(), after.expanded()))
+    a, b = CountingFunction(before).levels, CountingFunction(after).levels
     edges = np.concatenate(([k_lo], np.unique(np.concatenate((a, b))), [k_hi]))
     dn = np.searchsorted(a, edges[:-1], "right") - np.searchsorted(b, edges[:-1], "right")
     return edges, dn

@@ -12,9 +12,10 @@ from qgraph.stats import (
     spacing_histogram,
     unfold_spacings,
 )
+from qgraph.stats import _shift_steps
 from qgraph.units import ghz_from_k, k_from_ghz
 
-from conftest import three_star
+from conftest import make_spectrum, three_star
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +82,27 @@ def test_counting_csv_roundtrip(tmp_path, spectrum):
     assert back["n_before"][-1] == spectrum.count
     assert back["n_after"][-1] == other.count
     assert np.all(np.diff(back["k_rad_per_m"]) > 0)
+
+
+def test_counting_csv_matches_shift_steps(tmp_path):
+    # levels outside (k_lo, k_hi] count on neither side of the shift, so
+    # counting.csv keeps to the window and its N - N_tilde is Delta N on
+    # every row, including a level on k_hi
+    window = (0.1, 4.0)
+    before = make_spectrum([0.05, 1.0, 2.0, 3.0, 4.5], window, 1.0)
+    after = make_spectrum([0.1, 1.5, 2.5, 4.0, 5.0], window, 1.0, mults=[1, 2, 1, 1, 1])
+    path = tmp_path / "counting.csv"
+    qio.write_counting_csv(path, before, after)
+    back = qio.read_counting_csv(path)
+    ks = back["k_rad_per_m"]
+    assert ks[0] == window[0] and ks[-1] == window[1]
+    assert np.all(np.diff(ks) > 0)
+    edges, dn = _shift_steps(before, after)
+    seg = np.minimum(np.searchsorted(edges, ks, side="right") - 1, dn.size - 1)
+    assert np.array_equal(back["n_before"] - back["n_after"], dn[seg])
+    assert list(ks) == [0.1, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]
+    assert list(back["n_before"]) == [0, 1, 1, 2, 2, 3, 3]
+    assert list(back["n_after"]) == [0, 0, 2, 2, 3, 3, 4]
 
 
 def test_header_mismatch_rejected(tmp_path):

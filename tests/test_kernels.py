@@ -6,9 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from qgraph import kernels
 from qgraph.graphs import Edge, MetricGraph
-from qgraph.solver import bond_basis, bond_matrix
+from qgraph.presets import preset
+from qgraph.solver import bond_basis, bond_matrix, vertex_basis
 
-from conftest import eigvals_eigenphases, interval_graph, loop_graph, random_k4
+from conftest import (
+    eigvals_eigenphases,
+    interval_graph,
+    loop_graph,
+    random_k4,
+    three_star,
+)
 
 K4_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -146,6 +153,59 @@ def test_eigenphases_match_eigvals_property(lengths, phases, k):
     basis = bond_basis(MetricGraph(vertices=(0, 1, 2, 3), edges=edges))
     ks = np.array([k])
     assert phase_distance(kernels.eigenphases(ks, *basis), eigvals_eigenphases(ks, *basis)) < 1e-12
+
+
+def _count_graphs(rng):
+    """Graphs for the count identity: presets, phased K4, the small graphs,
+    and a three-vertex graph with a phased loop and a phased double edge."""
+    multi = MetricGraph(
+        vertices=(0, 1, 2),
+        edges=(
+            Edge(1, 0, 1, 0.7, 0.9),
+            Edge(2, 1, 0, 0.45, 1.3),
+            Edge(3, 1, 1, 0.33, -0.8),
+            Edge(4, 1, 2, 0.61, 0.4),
+            Edge(5, 2, 0, 0.5),
+        ),
+    )
+    graphs = [preset(name).graph for name in ("gue", "goe_a", "goe_b")]
+    graphs += [random_k4(rng, phase_scale=1.5) for _ in range(3)]
+    return graphs + [interval_graph(), loop_graph(0.8), three_star(), multi]
+
+
+def test_vertex_count_matches_eigenphase_winding(rng):
+    # sum_e floor(k l_e / pi) + n_+(M(k)) - (E + V) / 2 is the eigenphase
+    # winding (2 L k - sum of principal phases) / 2 pi, with no calibration
+    for g in _count_graphs(rng):
+        lengths, cot_part, csc_part = vertex_basis(g)
+        bonds = bond_basis(g)
+        ks = rng.uniform(0.1, 60.0, size=2000)
+        theta = kernels.eigenphases(ks, *bonds)
+        signed = np.where(theta > math.pi, theta - 2 * math.pi, theta)
+        off_root = np.abs(signed).min(axis=1) > 1e-9
+        winding = (2 * g.total_length * ks - theta.sum(axis=1)) / (2 * math.pi)
+        x = ks[:, None] * lengths
+        lam = kernels.vertex_eigenvalues(x, cot_part, csc_part)
+        count = np.floor(x / math.pi).sum(axis=1) + (lam > 0).sum(axis=1)
+        offset = 0.5 * (len(g.edges) + len(g.vertices))
+        assert off_root.mean() > 0.99
+        assert np.abs(count - offset - winding)[off_root].max() < 1e-9
+
+
+def test_vertex_matrix_singular_at_eigenvalues():
+    # the smallest |eigenvalue| of M vanishes at the three-star's levels
+    # that avoid the poles, and M is Hermitian by construction
+    from test_solver import THREE_STAR_ORACLE
+
+    lengths, cot_part, csc_part = vertex_basis(three_star())
+    x = THREE_STAR_ORACLE[:, None] * lengths
+    off_pole = np.abs(np.sin(x)).min(axis=1) > 1e-3
+    lam = kernels.vertex_eigenvalues(x[off_pole], cot_part, csc_part)
+    assert off_pole.sum() >= 10
+    assert np.abs(lam).min(axis=1).max() < 1e-7
+    m = np.cos(x) / np.sin(x) @ cot_part + (1 / np.sin(x)) @ csc_part
+    m = m.reshape(-1, 4, 4)
+    assert np.array_equal(m, m.conj().swapaxes(1, 2))
 
 
 def test_unitarity_of_bond_matrix(rng):

@@ -3,12 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qgraph import kernels
 from qgraph.graphs import Edge, MetricGraph, negate_phases
 from qgraph.presets import gue_numerics_plan, preset
 from qgraph.solver import (
     SolverConfig,
+    _BondProblem,
     bond_matrix,
     drop_levels,
     fd_oracle_spectrum,
@@ -134,19 +136,95 @@ def test_numerics_solve_kernel_budget(monkeypatch):
     # root isolation is batched: a handful of kernel calls per solve, not
     # one call per refinement step
     calls, points = [], []
-    original = kernels.eigenphases
 
-    def counted(ks, *rest):
-        calls.append(1)
-        points.append(len(ks))
-        return original(ks, *rest)
+    def counted(kernel):
+        def run(ks, *rest):
+            calls.append(1)
+            points.append(len(ks))
+            return kernel(ks, *rest)
 
-    monkeypatch.setattr(kernels, "eigenphases", counted)
+        return run
+
+    # the vertex kernel searches and the eigenphase kernel verifies: both
+    # count, so moving work from one to the other cannot pass vacuously
+    for name in ("eigenphases", "vertex_eigenvalues"):
+        monkeypatch.setattr(kernels, name, counted(getattr(kernels, name)))
     plan = gue_numerics_plan(count=1, seed=5)
     spec = solve_spectrum(plan.pairs[0][0], plan.solver)
     assert spec.status == "ok" and spec.complete
     assert len(calls) <= 40
     assert sum(points) <= 10 * spec.count
+
+
+def _tetrahedron(rng, spread):
+    """goe_a wiring with all edges 0.5 m within +/- spread, A = 0."""
+    base = preset("goe_a").graph
+    return base.with_edges(
+        tuple(
+            replace(e, length=0.5 + spread * rng.uniform(-1.0, 1.0), phase_per_m=0.0)
+            for e in base.edges
+        )
+    )
+
+
+@pytest.mark.parametrize("spread", [0.0, 1e-7, 1e-5])
+def test_vertex_count_near_poles(rng, spread):
+    # at 1e-4 ... 1e-12 from the poles k l_e in pi Z the vertex matrix is
+    # huge and the Dirichlet-type levels of a (near-)regular tetrahedron sit
+    # on or beside the poles; the guarded count still equals the eigenphase
+    # winding wherever neither count marks a root, while the plain inertia
+    # of the computed 4 x 4 eigenvalues does not
+    g = _tetrahedron(rng, spread)
+    problem = _BondProblem(g, 1e-10)
+    poles = np.concatenate([np.arange(1, 12) * math.pi / e.length for e in g.edges])
+    offsets = np.concatenate([s * 10.0 ** -np.arange(4, 13) for s in (-1.0, 1.0)])
+    ks = (poles[:, None] + offsets).ravel()
+    w_vertex, _, on_vertex = problem.evaluate(ks)
+    w_phase, _, on_phase = problem.phase_count(ks)
+    off_root = (on_vertex == 0) & (on_phase == 0)
+    assert off_root.mean() > 0.5
+    assert np.abs(w_vertex - w_phase)[off_root].max() < 1e-9
+
+    x = ks[:, None] * problem.edge_lengths
+    lam = kernels.vertex_eigenvalues(x, problem.cot_part, problem.csc_part)
+    plain = np.floor(x / math.pi).sum(axis=1) + (lam > 0).sum(axis=1) - problem.offset
+    assert np.any(np.abs(plain - w_phase)[off_root] > 0.5)
+
+
+@st.composite
+def loopy_graphs(draw):
+    """Connected graphs on 5 or 6 vertices with a loop, a double edge and
+    random extra edges, lengths and vector potentials."""
+    n = draw(st.integers(5, 6))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]  # spanning tree
+    pairs.append((draw(st.integers(0, n - 1)),) * 2)
+    pairs.append(pairs[draw(st.integers(0, n - 2))][::-1])
+    vertex = st.integers(0, n - 1)
+    pairs += draw(st.lists(st.tuples(vertex, vertex), max_size=3))
+    edges = tuple(
+        Edge(i + 1, u, v, draw(st.floats(0.2, 1.2)), draw(st.floats(-2.0, 2.0)))
+        for i, (u, v) in enumerate(pairs)
+    )
+    return MetricGraph(vertices=tuple(range(n)), edges=edges)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(graph=loopy_graphs(), cuts=st.lists(st.floats(0.1, 12.0), min_size=8, max_size=8))
+def test_window_counts_match_both_counts_property(graph, cuts):
+    # every level count of a verified spectrum over a sub-window equals the
+    # eigenphase-winding difference and the vertex-count difference
+    spec = solve_spectrum(graph, SolverConfig(0.1, 12.0))
+    assume(spec.status == "ok")
+    levels = spec.expanded()
+    cuts = np.array([k for k in cuts if np.abs(levels - k).min(initial=1.0) > 1e-6])
+    assume(cuts.size >= 2)
+    a, b = np.minimum(cuts[:-1], cuts[1:]), np.maximum(cuts[:-1], cuts[1:])
+    inside = (levels[None, :] > a[:, None]) & (levels[None, :] <= b[:, None])
+    problem = _BondProblem(graph, 1e-10)
+    for count in (problem.phase_count, problem.evaluate):
+        wa, wb = count(a)[0], count(b)[0]
+        assert np.array_equal(np.rint(wb - wa), inside.sum(axis=1))
+        assert np.abs(wb - wa - np.rint(wb - wa)).max() < 1e-9
 
 
 def test_coarse_default_scan_matches_fine_scan(rng):
@@ -166,20 +244,14 @@ def test_coarse_default_scan_matches_fine_scan(rng):
 
 
 def test_spectra_match_eigvals_kernel(rng, monkeypatch):
-    # the solver on the Cayley kernel against the solver on the general
-    # eigvals phases: phased random K4 graphs and near-regular tetrahedra,
-    # whose close levels put phase pairs near zero together
-    base = preset("goe_a").graph
+    # the solver with the Cayley kernel against the solver with the general
+    # eigvals phases, which verify every solve and count the points next to
+    # a pole: phased random K4 graphs and near-regular tetrahedra, whose
+    # close levels put phase pairs near zero together
     cases = [(random_k4(rng, phase_scale=1.0), SolverConfig(0.1, 40.0)) for _ in range(20)]
     for spread in (1e-7, 4e-3):
         for _ in range(3):
-            near_regular = base.with_edges(
-                tuple(
-                    replace(e, length=0.5 + spread * rng.uniform(-1.0, 1.0), phase_per_m=0.0)
-                    for e in base.edges
-                )
-            )
-            cases.append((near_regular, SolverConfig(0.1, 60.0)))
+            cases.append((_tetrahedron(rng, spread), SolverConfig(0.1, 60.0)))
     cayley = [solve_spectrum(g, cfg) for g, cfg in cases]
     monkeypatch.setattr(kernels, "eigenphases", eigvals_eigenphases)
     for (g, cfg), got in zip(cases, cayley):
