@@ -38,8 +38,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import kernels
 from .graphs import MetricGraph, negate_phases, validate
@@ -546,7 +544,14 @@ def fd_oracle_spectrum(
     vertices is the natural condition of the assembled form.  Eigenvalue
     accuracy is O(h^2) with h = L_e / n_points_per_edge.  The zero mode
     (lambda below 1e-6) is excluded.
+
+    This is the only place scipy is needed (its sparse shift-invert
+    eigensolver); it is imported here so that importing qgraph, solving
+    and campaigns stay numpy-only.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     if n_points_per_edge < 100:
         raise ValueError("need at least 100 points per edge")
     if count < 1:

@@ -1,8 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from qgraph.graphs import Edge, MetricGraph
 from qgraph.solver import Spectrum, fluctuation_envelope
+from qgraph.stats import (
+    BIN_WIDTH,
+    MIN_FIT_SPACINGS,
+    SpacingSample,
+    TransitionFitResult,
+    spacing_histogram,
+    transition_pdf,
+)
 
 
 def interval_graph(length=1.0):
@@ -40,6 +50,46 @@ def eigvals_eigenphases(ks, lengths, chis, smat):
     d = np.exp(1j * (ks[:, None] * lengths[None, :] + chis[None, :]))
     u = d[:, :, None] * smat[None, :, :]
     return np.mod(np.angle(np.linalg.eigvals(u)), 2 * np.pi)
+
+
+def least_squares_fit_xi(sample: SpacingSample) -> TransitionFitResult:
+    """Reference fit: scipy's trust-region least squares from xi = 1, an
+    unweighted pass then a Poisson-weighted one; same result type as
+    qgraph.stats.fit_xi.  Its answer depends on the path from xi = 1 where
+    the objective has several local minima."""
+    from scipy.optimize import least_squares
+
+    n_samples = sample.spacings.size
+    if n_samples < MIN_FIT_SPACINGS:
+        raise ValueError(f"need at least {MIN_FIT_SPACINGS} spacings, got {n_samples}")
+    centers, density = spacing_histogram(sample)
+    first = least_squares(
+        lambda p: transition_pdf(centers, p[0]) - density, x0=[1.0], bounds=([0.0], [np.inf])
+    )
+    if not first.success:
+        raise RuntimeError(
+            f"xi fit did not converge: {first.message}; final cost {first.cost!r}"
+        )
+    model = np.maximum(transition_pdf(centers, float(first.x[0])), 1e-3)
+    sigma = np.sqrt(model / (n_samples * BIN_WIDTH))
+    result = least_squares(
+        lambda p: (transition_pdf(centers, p[0]) - density) / sigma,
+        x0=first.x,
+        bounds=([0.0], [np.inf]),
+    )
+    if not result.success:
+        raise RuntimeError(
+            f"xi fit did not converge: {result.message}; final cost {result.cost!r}"
+        )
+    xi = float(result.x[0])
+    rss = 2.0 * result.cost
+    dof = max(centers.size - 1, 1)
+    jtj = float((result.jac.T @ result.jac).item())
+    if jtj > 0.0:
+        uncertainty = math.sqrt((rss / dof) / jtj)
+    else:
+        uncertainty = math.inf
+    return TransitionFitResult(xi=xi, xi_uncertainty=uncertainty, goodness=rss / dof)
 
 
 def make_spectrum(ks, window, total_length, mults=None):

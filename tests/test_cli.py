@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qgraph
 from qgraph.cli import main
 from qgraph.graphs import Edge, MetricGraph, save_graph
 from qgraph.presets import preset
@@ -262,3 +268,52 @@ def test_fit_xi_too_few_rows(tmp_path, rng):
 
 def test_preset_unknown(tmp_path):
     assert main(["preset", "dump", "nope", "--out", str(tmp_path / "x.json")]) == 2
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # scipy serves only the finite-difference oracle: with it blocked,
+    # importing qgraph and every runtime command work, including a
+    # campaign large enough to fit xi
+    script = textwrap.dedent(
+        """
+        import json, sys
+        sys.modules["scipy"] = None
+        from qgraph import solver
+        from qgraph.cli import main
+        from qgraph.graphs import save_graph
+        from qgraph.presets import gue_numerics_window, preset
+
+        save_graph(preset("goe_a").graph, "goe_a.json")
+        manifest = {
+            "preset": "gue",
+            "randomized": {"count": 2, "jitter": 0.02},
+            "seed": 1,
+            "window_k": list(gue_numerics_window()),
+        }
+        with open("gue.json", "w") as fh:
+            json.dump(manifest, fh)
+        codes = [
+            main(["solve", "goe_a.json", "--window-k", "0.1:20", "--out", "s.csv"]),
+            main(["compare", "goe_a.json", "--pivot", "0", "--edges", "3,5",
+                  "--window-k", "0.1:20", "--out", "cmp"]),
+            main(["campaign", "gue.json", "--out", "run"]),
+            main(["fit-xi", "run/spacings.csv", "--out", "overlay.csv"]),
+        ]
+        try:
+            solver.fd_oracle_spectrum(preset("goe_a").graph, 100, 2)
+            oracle = "ran"
+        except ImportError:
+            oracle = "ImportError"
+        print(json.dumps({"codes": codes, "oracle": oracle}))
+        """
+    )
+    src = str(Path(qgraph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0, 0], "oracle": "ImportError"}
+    spacings = qio.read_spacings_csv(tmp_path / "run" / "spacings.csv")
+    assert spacings.spacings.size >= 200

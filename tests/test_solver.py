@@ -227,6 +227,38 @@ def test_window_counts_match_both_counts_property(graph, cuts):
         assert np.abs(wb - wa - np.rint(wb - wa)).max() < 1e-9
 
 
+@st.composite
+def k4_graphs(draw):
+    """The four-vertex complete graph with random lengths and vector
+    potentials."""
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    edges = tuple(
+        Edge(i + 1, u, v, draw(st.floats(0.3, 1.2)), draw(st.floats(-1.0, 1.0)))
+        for i, (u, v) in enumerate(pairs)
+    )
+    return MetricGraph(vertices=(0, 1, 2, 3), edges=edges)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(graph=st.one_of(k4_graphs(), loopy_graphs()), data=st.data())
+def test_spectrum_invariant_under_edge_order_and_orientation(graph, data):
+    # edge order is bookkeeping, and an edge traversed v -> u with the
+    # opposite vector potential is the same edge
+    order = data.draw(st.permutations(graph.edges))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+    edges = tuple(
+        replace(e, u=e.v, v=e.u, phase_per_m=-e.phase_per_m) if flip else e
+        for e, flip in zip(order, flips)
+    )
+    cfg = SolverConfig(0.1, 12.0)
+    a = solve_spectrum(graph, cfg)
+    b = solve_spectrum(graph.with_edges(edges), cfg)
+    assert a.status == b.status
+    assert a.count == b.count
+    assert np.array_equal(a.multiplicities, b.multiplicities)
+    assert np.abs(a.wavenumbers - b.wavenumbers).max(initial=0.0) <= 2.0 * cfg.root_tolerance
+
+
 def test_coarse_default_scan_matches_fine_scan(rng):
     # per-cell winding counts are exact at any step, so the default two
     # points per mean spacing finds what an eight-point scan finds

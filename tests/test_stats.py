@@ -6,11 +6,16 @@ from scipy.integrate import quad
 
 from qgraph.solver import SolverConfig, drop_levels, solve_spectrum
 from qgraph.presets import preset
+from qgraph import stats
 from qgraph.stats import (
+    BIN_WIDTH,
+    S_MAX,
+    XI_MAX,
     CountingFunction,
     ShiftDistribution,
     SpacingSample,
     detect_missing_resonances,
+    erf,
     fit_xi,
     fluctuating_count,
     interlacing_degree,
@@ -19,6 +24,7 @@ from qgraph.stats import (
     sample_transition,
     sample_wigner,
     shift_distribution,
+    spacing_histogram,
     transition_pdf,
     unfold_spacings,
     weyl_count,
@@ -26,7 +32,7 @@ from qgraph.stats import (
 )
 from qgraph.units import k_from_ghz
 
-from conftest import make_spectrum
+from conftest import least_squares_fit_xi, make_spectrum
 
 
 # --------------------------------------------------------------------------
@@ -363,6 +369,39 @@ def test_spacing_sample_rejects_nonpositive():
 # --------------------------------------------------------------------------
 
 
+def test_erf_matches_scipy():
+    from scipy.special import erf as scipy_erf
+
+    x = np.concatenate((np.linspace(-10.0, 10.0, 400001), np.geomspace(1e-300, 1.0, 3001)))
+    ref = scipy_erf(x)
+    got = erf(x)
+    nonzero = ref != 0.0
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - ref)[nonzero] <= 4.0 * eps * np.abs(ref[nonzero]))
+    assert np.array_equal(got[~nonzero], ref[~nonzero])
+    special = erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+    assert np.array_equal(special[:4], [0.0, 0.0, 1.0, -1.0])
+    assert np.signbit(special[1]) and np.isnan(special[4])
+    assert erf(0.0) == 0.0 and erf(-np.inf) == -1.0 and math.isnan(erf(math.nan))
+    assert erf(np.full((2, 3), 0.5)).shape == (2, 3)
+
+
+def test_samplers_use_the_trapezoid_cdf():
+    # the inverse-transform CDF is scipy's cumulative trapezoid bit for bit,
+    # so every draw is what it was when scipy computed it
+    from scipy.integrate import cumulative_trapezoid
+
+    grid = np.linspace(0.0, 10.0, 20001)
+    for sampler, pdf in (
+        (lambda n, rng: sample_wigner("GUE", n, rng), wigner_pdf(grid, "GUE")),
+        (lambda n, rng: sample_transition(1.0, n, rng), transition_pdf(grid, 1.0)),
+    ):
+        cdf = cumulative_trapezoid(pdf, grid, initial=0.0)
+        cdf /= cdf[-1]
+        expected = np.interp(np.random.default_rng(3).random(5000), cdf, grid)
+        assert np.array_equal(sampler(5000, np.random.default_rng(3)), expected)
+
+
 def test_wigner_level_repulsion_at_zero():
     assert wigner_pdf(0.0, "GOE") == 0.0
     assert wigner_pdf(0.0, "GUE") == 0.0
@@ -455,6 +494,61 @@ def test_fit_xi_two_sigma_coverage(rng):
         r = fit_xi(sample)
         hits += abs(r.xi - 1.0) <= 2.0 * r.xi_uncertainty
     assert hits >= 0.9 * reps
+
+
+def _fit_battery():
+    """Transition samples at xi = 0.3, 1 and 2, GOE and GUE samples; n = 2000,
+    eight seeds each."""
+    for source in (0.3, 1.0, 2.0, "GOE", "GUE"):
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            if isinstance(source, str):
+                spacings = sample_wigner(source, 2000, rng)
+            else:
+                spacings = sample_transition(source, 2000, rng)
+            yield source, seed, SpacingSample(np.sort(spacings))
+
+
+def test_fit_xi_matches_least_squares_reference():
+    # The reference stops once a step lowers its cost by less than 1e-8
+    # relative and can stop in a local minimum of either pass; the weights
+    # of the second pass carry any difference of the first.  Where the two
+    # fits differ by more than the stated tolerance, they still agree to a
+    # tenth of a standard error, or the new fit has the lower weighted
+    # residual per degree of freedom.
+    tight = 0
+    for source, seed, sample in _fit_battery():
+        ref, new = least_squares_fit_xi(sample), fit_xi(sample)
+        if ref.xi > 10.0:
+            # the objective keeps falling toward the GUE limit; the
+            # reference drifts into that tail and the grid stops at its end
+            assert new.xi == pytest.approx(XI_MAX, rel=1e-4), (source, seed)
+            continue
+        tol = 1e-4 * ref.xi if ref.xi >= 0.01 else 1e-6
+        if abs(new.xi - ref.xi) <= tol and new.xi_uncertainty == pytest.approx(
+            ref.xi_uncertainty, rel=1e-4
+        ):
+            tight += 1
+        elif abs(new.xi - ref.xi) > 0.1 * ref.xi_uncertainty:
+            assert new.goodness < ref.goodness, (source, seed)
+    assert tight >= 20
+
+
+def test_fit_xi_is_the_global_minimum():
+    # each pass of the fit minimizes its sum of squares over [0, XI_MAX]:
+    # no point of a dense grid does better
+    dense = np.union1d(np.linspace(0.0, XI_MAX, 2001), np.geomspace(1e-4, XI_MAX, 2001))
+    for source, seed, sample in _fit_battery():
+        centers, density = spacing_histogram(sample)
+        first = stats._minimize_xi(centers, density, 1.0)
+        model = np.maximum(transition_pdf(centers, first), 1e-3)
+        sigma = np.sqrt(model / (sample.spacings.size * BIN_WIDTH))
+        xi = fit_xi(sample).xi
+        for found, weight in ((first, 1.0), (xi, sigma)):
+            cost = np.sum(stats._residuals(centers, density, weight, dense) ** 2, axis=1)
+            best = np.sum(stats._residuals(centers, density, weight, found) ** 2)
+            assert 0.0 <= found <= XI_MAX
+            assert best <= cost.min() * (1.0 + 1e-12), (source, seed)
 
 
 def test_ks_distance_identifies_gue(rng):
