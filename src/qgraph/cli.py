@@ -16,7 +16,7 @@ from . import io as qio
 from .ensemble import load_manifest, plan_from_manifest, run_campaign
 from .graphs import SwitchDescriptor, edge_switch, load_graph, save_graph, validate
 from .presets import preset, preset_names
-from .solver import SolverConfig, drop_levels, solve_spectrum
+from .solver import SolverConfig, drop_levels, solve_spectra, solve_spectrum
 from .stats import (
     detect_missing_resonances,
     fit_xi,
@@ -82,8 +82,7 @@ def cmd_compare(args) -> CommandOutcome:
     descriptor.check(graph)
     k_lo, k_hi = _parse_window(args)
     config = SolverConfig(k_min=k_lo, k_max=k_hi)
-    before = solve_spectrum(graph, config)
-    after = solve_spectrum(edge_switch(graph, descriptor), config)
+    before, after = solve_spectra([graph, edge_switch(graph, descriptor)], config)
     if args.drop_level:
         after = drop_levels(after, [args.drop_level])
 

@@ -1,13 +1,16 @@
 """Configuration ensembles: phase-shifter sweeps, switch pairs, campaigns.
 
 A campaign is a list of (before, after) graph pairs solved under one
-solver configuration.  Configurations are independent work items; the
-reducer is a deterministic fold over results sorted by configuration
-index, so a campaign returns bit-identical results at any worker count.
+solver configuration.  Its sides are split into one contiguous chunk per
+worker, and each chunk is solved in lockstep by one `solve_spectra` call.
+A side's spectrum does not depend on the chunk it is solved in, and the
+reducer is a deterministic fold over results in configuration order, so
+a campaign returns bit-identical results at any worker count.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +27,10 @@ from .graphs import (
     transfer_length,
     validate,
 )
-from .solver import SolverConfig, Spectrum, solve_spectrum
+# campaigns solve through solve_spectra; solve_spectrum stays importable here
+# because perfbench/tracing.py patches qgraph.ensemble.solve_spectrum, and
+# traced benchmark runs fail without it
+from .solver import SolverConfig, Spectrum, solve_spectra, solve_spectrum  # noqa: F401
 from .stats import (
     ShiftDistribution,
     SpacingSample,
@@ -252,29 +258,26 @@ class CampaignResult:
     provenance: dict
 
 
-def _solve_one(args) -> Spectrum:
-    graph, solver = args
-    return solve_spectrum(graph, solver)
-
-
 def run_campaign(plan: CampaignPlan, workers: int = 1) -> CampaignResult:
     """Solve every pair of the plan and aggregate the statistics.
 
-    Degraded pairs (either side incomplete, holding a multiple level or
-    fewer than two levels) are excluded from the pooled statistics but
-    retained in the report.  When every pair is degraded all of them are
-    pooled, except that sides that cannot be unfolded never enter the
-    spacing pool.
+    The sides, in plan order, form min(workers, sides) contiguous chunks;
+    one chunk is solved in this process, several in a process pool, each
+    chunk in one `solve_spectra` call.  Degraded pairs (either side
+    incomplete, holding a multiple level or fewer than two levels) are
+    excluded from the pooled statistics but retained in the report.  When
+    every pair is degraded all of them are pooled, except that sides that
+    cannot be unfolded never enter the spacing pool.
     """
-    tasks = []
-    for before, after in plan.pairs:
-        tasks.append((before, plan.solver))
-        tasks.append((after, plan.solver))
-    if workers <= 1:
-        spectra = [_solve_one(t) for t in tasks]
+    sides = [graph for pair in plan.pairs for graph in pair]
+    n = min(workers, len(sides))
+    if n <= 1:
+        spectra = solve_spectra(sides, plan.solver)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            spectra = list(pool.map(_solve_one, tasks, chunksize=1))
+        chunks = [sides[i * len(sides) // n:(i + 1) * len(sides) // n] for i in range(n)]
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            solved = pool.map(solve_spectra, chunks, itertools.repeat(plan.solver))
+            spectra = [spectrum for chunk in solved for spectrum in chunk]
 
     pair_results = []
     for i in range(len(plan.pairs)):

@@ -3,9 +3,10 @@ the bond propagation matrix.
 
 `vertex_eigenvalues` drives the solver's search.  The V x V Hermitian
 vertex secular matrix is M = cot(x) @ cot_part + csc(x) @ csc_part at the
-edge phases x_e = k l_e, one batched matrix product away from constant
+edge phases x_e = k l_e, one matrix product per graph away from constant
 incidence arrays, and a batched `eigvalsh` gives its eigenvalues, whose
-signs, with the poles sin x_e = 0 passed, count the levels up to k.
+signs, with the poles sin x_e = 0 passed, count the levels up to k.  One
+call serves the points of every graph the solver runs in lockstep.
 
 `eigenphases` verifies the search independently.  Everything it needs at
 a wavenumber k comes from the eigenvalues of the unitary matrix
@@ -29,8 +30,10 @@ one lies at least pi / (m + 1) from all m phases, where
 |lambda| <= cot(pi / (2 (m + 1))) <= T, so at most m + 1 passes are made
 and every accepted phase carries an error of at most about 100 eps.
 
-Kernels are single-threaded on purpose: parallelism lives at the
-configuration level in the ensemble runner, which keeps results
+Kernels are single-threaded on purpose.  A campaign splits its sides
+into one chunk per worker, the workers split the chunks, and one batch
+holds the points of all sides of a chunk.  A point's result does not
+depend on the other points of its batch, which keeps results
 bit-identical at any worker count.
 """
 
@@ -97,15 +100,29 @@ eigenphases_numpy = eigenphases
 
 
 def vertex_eigenvalues(
-    x: np.ndarray, cot_part: np.ndarray, csc_part: np.ndarray
+    x: np.ndarray, cot_part: np.ndarray, csc_part: np.ndarray, owner: np.ndarray | None = None
 ) -> np.ndarray:
     """Ascending eigenvalues of the vertex matrices at the edge phases x.
 
     M = cot(x) @ cot_part + csc(x) @ csc_part, reshaped to V x V.  x: (n, E)
     edge phases k * l_e, none a multiple of pi; cot_part (E, V*V) real and
     csc_part (E, V*V) complex, from `solver.vertex_basis`.  Returns (n, V).
+
+    Graphs with one vertex and edge count share a call: cot_part and
+    csc_part then stack their arrays to (G, E, V*V), and owner (n,) names
+    the graph of each row.  Each graph's rows, in their order, go through
+    the products with that graph's arrays alone, and `eigvalsh` solves
+    every matrix on its own, so a row's eigenvalues do not depend on the
+    other graphs in the call.
     """
+    if owner is None:
+        cot_part, csc_part = cot_part[None], csc_part[None]
+        owner = np.zeros(len(x), dtype=np.intp)
     csc = 1.0 / np.sin(x)
-    m = (np.cos(x) * csc) @ cot_part + csc @ csc_part
-    side = math.isqrt(cot_part.shape[1])
+    cot = np.cos(x) * csc
+    m = np.empty((len(x), cot_part.shape[-1]), dtype=np.complex128)
+    for g in np.flatnonzero(np.bincount(owner, minlength=len(cot_part))):
+        rows = np.flatnonzero(owner == g)
+        m[rows] = cot[rows] @ cot_part[g] + csc[rows] @ csc_part[g]
+    side = math.isqrt(cot_part.shape[-1])
     return np.linalg.eigvalsh(m.reshape(-1, side, side))

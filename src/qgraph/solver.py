@@ -28,6 +28,11 @@ vertex count are counted by eigenphases instead.  The eigenphase winding
 then verifies the result independently, between consecutive roots, and
 the smallest singular value of I - U(k) is reported at each root.
 
+`solve_spectra` runs the scan and the isolation of several graphs with
+one vertex and edge count in lockstep, one kernel call per step for all
+of them; verification and residuals run graph by graph.  Each spectrum
+is bit for bit the one its graph gives alone (`solve_spectrum`).
+
 An independent finite-difference discretization of the graph Laplacian
 (with Peierls phases on the links) serves as a cross-method oracle.
 """
@@ -35,7 +40,8 @@ An independent finite-difference discretization of the graph Laplacian
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +56,7 @@ __all__ = [
     "vertex_basis",
     "secular_residual",
     "solve_spectrum",
+    "solve_spectra",
     "fd_oracle_spectrum",
     "spectrum_under_phase_reversal",
     "drop_levels",
@@ -262,7 +269,7 @@ EPS = float(np.finfo(float).eps)
 
 
 class _BondProblem:
-    """Cached bond and vertex arrays plus the two level counts.
+    """Cached bond and vertex arrays of one graph plus its two level counts.
 
     `evaluate` counts with the vertex matrix and drives the search;
     `phase_count` counts with the eigenphases of U(k), verifies the
@@ -287,46 +294,8 @@ class _BondProblem:
         self.offset = 0.5 * (len(graph.edges) + self.n_vertices)
 
     def evaluate(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Winding, polishing value and number of roots at each k.
-
-        The winding is sum_e floor(k l_e / pi) + n_+(M(k)) - (E + V) / 2,
-        the number `phase_count` gives: n_+ loses one where an eigenvalue
-        of M jumps from +inf to -inf at a pole, and the floor term gains
-        it.  An eigenvalue within eig_tol of zero marks a root at k and
-        counts as passed, so w(b) - w(a) is exactly the number of roots in
-        (a, b].  The polishing value
-        g = (-1)^(sum_e floor(k l_e / pi)) prod_i (2 / pi) arctan(lambda_i)
-        is continuous through the poles for the same reason, vanishes only
-        at roots and changes sign at every simple root.  Points where
-        rounding could flip the sign of an eigenvalue, or where
-        floor(x / pi) could disagree with the sign of sin x, are counted by
-        `phase_count`.
-        """
-        x = ks[:, None] * self.edge_lengths
-        s_min = np.abs(np.sin(x)).min(axis=1)
-        # x / pi carries a rounding of about eps x / pi, so floor(x / pi) is
-        # exact wherever every |sin x_e| exceeds 4 eps max x
-        idx = np.flatnonzero(s_min > 4.0 * EPS * x.max(axis=1))
-        lam = kernels.vertex_eigenvalues(x[idx], self.cot_part, self.csc_part)
-        # an eigenvalue decides its sign only when it lies farther from zero
-        # than its rounding error, or inside the root band when that error
-        # fits in the band
-        mag, err = np.abs(lam), (self.rounding / s_min[idx])[:, None]
-        ambiguous = (mag <= err) & ((mag > self.eig_tol) | (err > self.eig_tol))
-        trusted = ~ambiguous.any(axis=1)
-        idx, lam, mag = idx[trusted], lam[trusted], mag[trusted]
-
-        winding, g = np.empty(ks.size), np.empty(ks.size)
-        on_root = np.empty(ks.size, dtype=np.int64)
-        floors = np.floor(x[idx] / math.pi).sum(axis=1)
-        winding[idx] = floors + (lam >= -self.eig_tol).sum(axis=1) - self.offset
-        g[idx] = (1.0 - 2.0 * (floors % 2)) * (np.arctan(lam) / (0.5 * math.pi)).prod(axis=1)
-        on_root[idx] = (mag <= self.eig_tol).sum(axis=1)
-        rest = np.ones(ks.size, dtype=bool)
-        rest[idx] = False
-        if rest.any():
-            winding[rest], g[rest], on_root[rest] = self.phase_count(ks[rest])
-        return winding, g, on_root
+        """`_Batch.evaluate` for this graph alone."""
+        return _Batch([self]).evaluate(ks, np.zeros(ks.size, dtype=np.intp))
 
     def phase_count(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`evaluate`'s three arrays from the eigenphases of U(k).
@@ -348,32 +317,104 @@ class _BondProblem:
         return winding, g, at_root.sum(axis=1)
 
 
+class _Batch:
+    """The problems of graphs with one vertex and one edge count, stacked
+    so that one vertex-kernel call counts points of all of them.
+
+    Every point's three numbers come out bit for bit as its graph's own
+    problem alone would give them: the kernel multiplies each graph's rows
+    with that graph's arrays, and the eigenphase fallback runs per graph.
+    """
+
+    def __init__(self, problems: list[_BondProblem]):
+        self.problems = problems
+        self.edge_lengths = np.stack([p.edge_lengths for p in problems])
+        self.cot_part = np.stack([p.cot_part for p in problems])
+        self.csc_part = np.stack([p.csc_part for p in problems])
+        self.eig_tol = np.array([p.eig_tol for p in problems])
+        self.rounding = np.array([p.rounding for p in problems])
+        self.offset = np.array([p.offset for p in problems])
+
+    def evaluate(
+        self, ks: np.ndarray, owner: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Winding, polishing value and number of roots at each k.
+
+        ks[i] belongs to graph owner[i].  The winding is
+        sum_e floor(k l_e / pi) + n_+(M(k)) - (E + V) / 2, the number
+        `phase_count` gives: n_+ loses one where an eigenvalue of M jumps
+        from +inf to -inf at a pole, and the floor term gains it.  An
+        eigenvalue within eig_tol of zero marks a root at k and counts as
+        passed, so w(b) - w(a) is exactly the number of roots in (a, b].
+        The polishing value
+        g = (-1)^(sum_e floor(k l_e / pi)) prod_i (2 / pi) arctan(lambda_i)
+        is continuous through the poles for the same reason, vanishes only
+        at roots and changes sign at every simple root.  Points where
+        rounding could flip the sign of an eigenvalue, or where
+        floor(x / pi) could disagree with the sign of sin x, are counted by
+        `phase_count`.
+        """
+        x = ks[:, None] * self.edge_lengths[owner]
+        s_min = np.abs(np.sin(x)).min(axis=1)
+        # x / pi carries a rounding of about eps x / pi, so floor(x / pi) is
+        # exact wherever every |sin x_e| exceeds 4 eps max x
+        idx = np.flatnonzero(s_min > 4.0 * EPS * x.max(axis=1))
+        own = owner[idx]
+        lam = kernels.vertex_eigenvalues(x[idx], self.cot_part, self.csc_part, own)
+        # an eigenvalue decides its sign only when it lies farther from zero
+        # than its rounding error, or inside the root band when that error
+        # fits in the band
+        eig_tol = self.eig_tol[own][:, None]
+        mag, err = np.abs(lam), (self.rounding[own] / s_min[idx])[:, None]
+        ambiguous = (mag <= err) & ((mag > eig_tol) | (err > eig_tol))
+        trusted = ~ambiguous.any(axis=1)
+        idx, own, lam, mag, eig_tol = (v[trusted] for v in (idx, own, lam, mag, eig_tol))
+
+        winding, g = np.empty(ks.size), np.empty(ks.size)
+        on_root = np.empty(ks.size, dtype=np.int64)
+        floors = np.floor(x[idx] / math.pi).sum(axis=1)
+        winding[idx] = floors + (lam >= -eig_tol).sum(axis=1) - self.offset[own]
+        g[idx] = (1.0 - 2.0 * (floors % 2)) * (np.arctan(lam) / (0.5 * math.pi)).prod(axis=1)
+        on_root[idx] = (mag <= eig_tol).sum(axis=1)
+        rest = np.ones(ks.size, dtype=bool)
+        rest[idx] = False
+        for i in np.flatnonzero(np.bincount(owner[rest], minlength=len(self.problems))):
+            pts = np.flatnonzero(rest & (owner == i))
+            winding[pts], g[pts], on_root[pts] = self.problems[i].phase_count(ks[pts])
+        return winding, g, on_root
+
+
 def _isolate_roots(
-    problem: _BondProblem,
+    batch: _Batch,
     grid: np.ndarray,
+    owner: np.ndarray,
     scan: tuple[np.ndarray, np.ndarray, np.ndarray],
     config: SolverConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted roots in (grid[0], grid[-1]] with multiplicities.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Sorted roots with multiplicities in (first, last grid point] of
+    every graph of the batch.
 
-    The scan's windings give the exact root count of every grid cell
-    (a, b].  Each iteration evaluates one point x per cell in a single
-    call: an Anderson-Bjorck (safeguarded regula falsi) step on the
-    polishing value g when the cell holds one root, across which g changes
-    sign, the midpoint otherwise.  A step stays half a tolerance inside
-    the cell.  The winding at x splits the count between (a, x] and
-    (x, b]; empty halves are dropped.  A cell is done when all its roots
-    sit on its right end, or when it is narrower than root_tolerance (a
-    multiple root, reported at its midpoint).  Cells still open after
-    MAX_REFINEMENT_ITERATIONS are left out, which the final winding
-    verification reports.
+    `grid` holds the graphs' scan grids one after another, owner[i] the
+    graph of grid[i].  The scan's windings give the exact root count of
+    every grid cell (a, b] within one graph.  Each iteration evaluates one
+    point x per cell, of every graph, in a single call: an Anderson-Bjorck
+    (safeguarded regula falsi) step on the polishing value g when the cell
+    holds one root, across which g changes sign, the midpoint otherwise.
+    A step stays half a tolerance inside the cell.  The winding at x
+    splits the count between (a, x] and (x, b]; empty halves are dropped.
+    A cell is done when all its roots sit on its right end, or when it is
+    narrower than root_tolerance (a multiple root, reported at its
+    midpoint).  Cells still open after MAX_REFINEMENT_ITERATIONS are left
+    out, which the final winding verification reports.  Each graph's
+    cells keep the order a batch of that graph alone gives them, so its
+    roots do not depend on the other graphs.
     """
     w, f, on_root = scan
     count = np.rint(np.diff(w)).astype(np.int64)
-    keep = count > 0
+    keep = (count > 0) & (owner[1:] == owner[:-1])
     cells = {
-        "a": grid[:-1], "b": grid[1:], "wa": w[:-1], "fa": f[:-1], "fb": f[1:],
-        "on_b": on_root[1:], "count": count,
+        "owner": owner[1:], "a": grid[:-1], "b": grid[1:], "wa": w[:-1], "fa": f[:-1],
+        "fb": f[1:], "on_b": on_root[1:], "count": count,
     }
     cells = {key: v[keep] for key, v in cells.items()}
     # regula falsi end values (scaled down when the same end is kept twice
@@ -383,12 +424,14 @@ def _isolate_roots(
 
     roots: list[np.ndarray] = []
     mults: list[np.ndarray] = []
+    owners: list[np.ndarray] = []
     for _ in range(MAX_REFINEMENT_ITERATIONS):
         a, b, count = cells["a"], cells["b"], cells["count"]
         on_end = cells["on_b"] >= count
         narrow = ~on_end & (b - a < config.root_tolerance)
         roots += [b[on_end], 0.5 * (a + b)[narrow]]
         mults += [count[on_end], count[narrow]]
+        owners += [cells["owner"][on_end], cells["owner"][narrow]]
         cells = {key: v[~(on_end | narrow)] for key, v in cells.items()}
         if cells["count"].size == 0:
             break
@@ -401,7 +444,7 @@ def _isolate_roots(
         # cell narrower than root_tolerance, not approached from one side
         half = 0.5 * config.root_tolerance
         x = np.where(falsi, np.clip(x, a + half, b - half), 0.5 * (a + b))
-        wx, fx, on_x = problem.evaluate(x)
+        wx, fx, on_x = batch.evaluate(x, cells["owner"])
 
         below = np.rint(wx - cells["wa"]).astype(np.int64)
         # Anderson-Bjorck: the end kept twice in a row is scaled by
@@ -419,9 +462,13 @@ def _isolate_roots(
         live = np.concatenate([left["count"], right["count"]]) > 0
         cells = {key: np.concatenate([left[key], right[key]])[live] for key in cells}
 
-    ks = np.concatenate(roots)
-    order = np.argsort(ks)
-    return ks[order], np.concatenate(mults)[order]
+    ks, mults, owners = (np.concatenate(v) for v in (roots, mults, owners))
+    found = []
+    for i in range(len(batch.problems)):
+        k, m = ks[owners == i], mults[owners == i]
+        order = np.argsort(k)
+        found.append((k[order], m[order]))
+    return found
 
 
 def _merge_close(
@@ -445,30 +492,12 @@ def _svd_residuals(problem: _BondProblem, ks: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)[:, -1]
 
 
-def solve_spectrum(graph: MetricGraph, config: SolverConfig) -> Spectrum:
-    """All eigenvalues of the graph in (k_min, k_max], verified complete.
-
-    A scan gives the exact vertex count of every grid cell; batched
-    bisection and Anderson-Bjorck steps isolate and polish the roots cell
-    by cell (`_isolate_roots`).  The eigenphase winding then counts each
-    segment between consecutive roots independently: a segment holding fewer
-    roots than its count is reported through `status` and the
-    completeness flag, never silently dropped.  A root within
-    root_tolerance of a window edge lies on it: excluded at k_min,
-    included at k_max.
-    """
-    violations = validate(graph)
-    if violations:
-        raise ValueError("invalid graph: " + "; ".join(violations))
-    config.check()
-
-    problem = _BondProblem(graph, config.root_tolerance)
+def _verified_spectrum(
+    problem: _BondProblem, ks: np.ndarray, mults: np.ndarray, config: SolverConfig
+) -> Spectrum:
+    """The spectrum of one graph from its isolated roots: SVD residuals,
+    merged close roots and the eigenphase-winding verification."""
     k_lo, k_hi = config.k_min, config.k_max
-    step = config.effective_step(problem.total_length)
-    grid = np.linspace(k_lo, k_hi, max(int(math.ceil((k_hi - k_lo) / step)) + 1, 9))
-    scan = problem.evaluate(grid)
-    ks, mults = _isolate_roots(problem, grid, scan, config)
-
     # contract residuals: smallest singular value of I - U at each root
     residuals = _svd_residuals(problem, ks)
     good = residuals <= config.residual_threshold
@@ -526,6 +555,55 @@ def solve_spectrum(graph: MetricGraph, config: SolverConfig) -> Spectrum:
         nfl_max=nfl_max,
         messages=tuple(messages),
     )
+
+
+def solve_spectra(graphs: Sequence[MetricGraph], config: SolverConfig) -> list[Spectrum]:
+    """All eigenvalues of each graph in (k_min, k_max], verified complete.
+
+    The graphs must share one vertex count and one edge count (a switch
+    pair or a length-jittered ensemble does); they are solved in lockstep.
+    One scan gives the exact vertex count of every grid cell of every
+    graph; batched bisection and Anderson-Bjorck steps isolate and polish
+    the roots of all graphs together (`_isolate_roots`).  Then, graph by
+    graph, the eigenphase winding counts each segment between consecutive
+    roots independently: a segment holding fewer roots than its count is
+    reported through `status` and the completeness flag, never silently
+    dropped.  A root within root_tolerance of a window edge lies on it:
+    excluded at k_min, included at k_max.  Each spectrum is bit for bit
+    the one the graph gives when solved alone.
+    """
+    graphs = list(graphs)
+    for graph in graphs:
+        violations = validate(graph)
+        if violations:
+            raise ValueError("invalid graph: " + "; ".join(violations))
+    config.check()
+    if len({(len(g.vertices), len(g.edges)) for g in graphs}) > 1:
+        raise ValueError("graphs solved together need one vertex count and one edge count")
+    if not graphs:
+        return []
+
+    problems = [_BondProblem(g, config.root_tolerance) for g in graphs]
+    k_lo, k_hi = config.k_min, config.k_max
+    grids = []
+    for problem in problems:
+        step = config.effective_step(problem.total_length)
+        grids.append(np.linspace(k_lo, k_hi, max(int(math.ceil((k_hi - k_lo) / step)) + 1, 9)))
+    grid = np.concatenate(grids)
+    owner = np.repeat(np.arange(len(grids)), [g.size for g in grids])
+    batch = _Batch(problems)
+    scan = batch.evaluate(grid, owner)
+    roots = _isolate_roots(batch, grid, owner, scan, config)
+    return [
+        _verified_spectrum(problem, ks, mults, config)
+        for problem, (ks, mults) in zip(problems, roots)
+    ]
+
+
+def solve_spectrum(graph: MetricGraph, config: SolverConfig) -> Spectrum:
+    """All eigenvalues of one graph in (k_min, k_max]: `solve_spectra`
+    of a one-graph list."""
+    return solve_spectra([graph], config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +691,7 @@ def spectrum_under_phase_reversal(
     graph: MetricGraph, config: SolverConfig
 ) -> tuple[Spectrum, Spectrum]:
     """Spectra at vector potential +A and -A over the same window."""
-    plus = solve_spectrum(graph, config)
-    minus = solve_spectrum(negate_phases(graph), config)
+    plus, minus = solve_spectra([graph, negate_phases(graph)], config)
     return plus, minus
 
 

@@ -128,7 +128,11 @@ def _shift_steps(before: Spectrum, after: Spectrum) -> tuple[np.ndarray, np.ndar
         raise ValueError(f"windows differ: {before.window} vs {after.window}")
     k_lo, k_hi = before.window
     a, b = CountingFunction(before).levels, CountingFunction(after).levels
-    edges = np.concatenate(([k_lo], np.unique(np.concatenate((a, b))), [k_hi]))
+    # the distinct levels, sorted; np.unique would load numpy.ma on first use
+    merged = np.sort(np.concatenate((a, b)))
+    distinct = np.ones(merged.size, dtype=bool)
+    distinct[1:] = merged[1:] != merged[:-1]
+    edges = np.concatenate(([k_lo], merged[distinct], [k_hi]))
     dn = np.searchsorted(a, edges[:-1], "right") - np.searchsorted(b, edges[:-1], "right")
     return edges, dn
 
@@ -288,8 +292,8 @@ class SpacingSample:
 
     def __post_init__(self):
         self.spacings.setflags(write=False)
-        if self.spacings.size and self.spacings.min() <= 0.0:
-            raise ValueError("spacings must be positive")
+        if not np.all(np.isfinite(self.spacings) & (self.spacings > 0.0)):
+            raise ValueError("spacings must be finite and positive")
 
     @property
     def mean(self) -> float:

@@ -266,6 +266,17 @@ def test_fit_xi_too_few_rows(tmp_path, rng):
     assert main(["fit-xi", str(spath)]) == 2
 
 
+def test_fit_xi_rejects_nan_row(tmp_path, rng, capsys):
+    # a nan spacing is an input error, not a sample to fit around
+    sample = SpacingSample(np.sort(sample_transition(1.0, 300, rng)))
+    spath = tmp_path / "spacings.csv"
+    qio.write_spacings_csv(sample, spath)
+    with open(spath, "a", newline="", encoding="utf-8") as fh:
+        fh.write("301,nan\r\n")
+    assert main(["fit-xi", str(spath)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_preset_unknown(tmp_path):
     assert main(["preset", "dump", "nope", "--out", str(tmp_path / "x.json")]) == 2
 
@@ -317,3 +328,40 @@ def test_runtime_needs_no_scipy(tmp_path):
     assert result == {"codes": [0, 0, 0, 0], "oracle": "ImportError"}
     spacings = qio.read_spacings_csv(tmp_path / "run" / "spacings.csv")
     assert spacings.spacings.size >= 200
+
+
+def test_campaign_leaves_numpy_ma_unloaded(tmp_path):
+    # numpy loads numpy.ma lazily (np.unique does, for one), about 13 ms
+    # per process; a campaign needs none of it
+    script = textwrap.dedent(
+        """
+        import json, sys
+        import numpy
+        if "numpy.ma" in sys.modules:
+            print(json.dumps({"preloaded": True}))
+            sys.exit(0)
+        from qgraph.cli import main
+        from qgraph.presets import gue_numerics_window
+
+        manifest = {
+            "preset": "gue",
+            "randomized": {"count": 1, "jitter": 0.02},
+            "seed": 1,
+            "window_k": list(gue_numerics_window()),
+        }
+        with open("gue.json", "w") as fh:
+            json.dump(manifest, fh)
+        code = main(["campaign", "gue.json", "--out", "run"])
+        print(json.dumps({"code": code, "numpy.ma": "numpy.ma" in sys.modules}))
+        """
+    )
+    src = str(Path(qgraph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    if result.get("preloaded"):
+        pytest.skip("import numpy already loads numpy.ma")
+    assert result == {"code": 0, "numpy.ma": False}

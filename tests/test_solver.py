@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qgraph import kernels
-from qgraph.graphs import Edge, MetricGraph, negate_phases
+from qgraph.graphs import Edge, MetricGraph, SwitchDescriptor, edge_switch, negate_phases
 from qgraph.presets import gue_numerics_plan, preset
 from qgraph.solver import (
     SolverConfig,
@@ -15,9 +15,11 @@ from qgraph.solver import (
     drop_levels,
     fd_oracle_spectrum,
     secular_residual,
+    solve_spectra,
     solve_spectrum,
     spectrum_under_phase_reversal,
 )
+from qgraph.stats import interlacing_degree
 from qgraph.units import k_from_ghz
 
 from conftest import eigvals_eigenphases, interval_graph, loop_graph, random_k4, three_star
@@ -243,7 +245,8 @@ def k4_graphs(draw):
 @given(graph=st.one_of(k4_graphs(), loopy_graphs()), data=st.data())
 def test_spectrum_invariant_under_edge_order_and_orientation(graph, data):
     # edge order is bookkeeping, and an edge traversed v -> u with the
-    # opposite vector potential is the same edge
+    # opposite vector potential is the same edge; A -> -A conjugates the
+    # Hamiltonian, whose real spectrum stays
     order = data.draw(st.permutations(graph.edges))
     flips = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
     edges = tuple(
@@ -251,12 +254,89 @@ def test_spectrum_invariant_under_edge_order_and_orientation(graph, data):
         for e, flip in zip(order, flips)
     )
     cfg = SolverConfig(0.1, 12.0)
-    a = solve_spectrum(graph, cfg)
-    b = solve_spectrum(graph.with_edges(edges), cfg)
-    assert a.status == b.status
-    assert a.count == b.count
-    assert np.array_equal(a.multiplicities, b.multiplicities)
-    assert np.abs(a.wavenumbers - b.wavenumbers).max(initial=0.0) <= 2.0 * cfg.root_tolerance
+    a, reversed_phases = spectrum_under_phase_reversal(graph, cfg)
+    for b in (solve_spectrum(graph.with_edges(edges), cfg), reversed_phases):
+        assert a.status == b.status
+        assert a.count == b.count
+        assert np.array_equal(a.multiplicities, b.multiplicities)
+        assert np.abs(a.wavenumbers - b.wavenumbers).max(initial=0.0) <= 2.0 * cfg.root_tolerance
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(graph=k4_graphs(), data=st.data())
+def test_switch_pairs_interlace_at_level_one_property(graph, data):
+    # the edge switch moves no level past its neighbour: sup |N - N_tilde|
+    # <= 1 (Aizenman, Schanz, Smilansky & Warzel, Acta Phys. Pol. A 132,
+    # 1699 (2017)), with or without a vector potential
+    if data.draw(st.booleans()):
+        graph = graph.with_edges(tuple(replace(e, phase_per_m=0.0) for e in graph.edges))
+    pivot = data.draw(st.integers(0, 3))
+    incident = [e.id for e in graph.edges if pivot in (e.u, e.v)]
+    edge_a, edge_b = data.draw(st.permutations(incident))[:2]
+    switched = edge_switch(graph, SwitchDescriptor(pivot, edge_a, edge_b))
+    cfg = SolverConfig(0.1, 12.0)
+    # the theorem counts from the bottom of the spectrum and the degree from
+    # k_min; the winding plus (E + V) / 2 counts the levels in [0, k], so
+    # equal windings at k_min mean the two counts start together (a
+    # magnetic ground state can lie below k_min on one side only)
+    w = [_BondProblem(g, 1e-10).evaluate(np.array([cfg.k_min]))[0] for g in (graph, switched)]
+    assume(w[0] == w[1])
+    before, after = solve_spectra([graph, switched], cfg)
+    assume(before.status == after.status == "ok")
+    assert interlacing_degree(before, after) <= 1
+
+
+def test_solve_spectra_bit_identical_to_solving_alone(rng, monkeypatch):
+    # sides solved in lockstep come out bit for bit as each solved alone,
+    # so a campaign's digest does not depend on how its sides are chunked:
+    # switch pairs of the presets, a regular tetrahedron with multiple
+    # levels and a near-regular one whose search counts points next to a
+    # pole by eigenphases
+    cfg = SolverConfig(0.1, 40.0)
+    graphs = []
+    for name in ("gue", "goe_a", "goe_b"):
+        p = preset(name)
+        graphs += [p.graph, edge_switch(p.graph, p.sweep.switch)]
+    regular, near = _tetrahedron(rng, 0.0), _tetrahedron(rng, 1e-7)
+    graphs += [regular, near]
+
+    calls = []
+    eigenphases = kernels.eigenphases
+
+    def counted(ks, *rest):
+        calls.append(1)
+        return eigenphases(ks, *rest)
+
+    monkeypatch.setattr(kernels, "eigenphases", counted)
+    alone = [solve_spectrum(g, cfg) for g in graphs]
+    assert len(calls) > len(graphs)  # more than one verification call each
+    assert alone[-2].multiplicities.max() > 1
+
+    together = solve_spectra(graphs, cfg)
+    # no scan cell spans two graphs' grids, also where the next graph's
+    # winding at k_min exceeds this graph's at k_max: such a cell would
+    # put the count difference on the window's midpoint, 2.5, which is a
+    # level of the 8 pi interval
+    short, long = interval_graph(1.0), interval_graph(8.0 * math.pi)
+    narrow = SolverConfig(2.0, 3.0)
+    together += solve_spectra([short, long], narrow)
+    alone += [solve_spectrum(short, narrow), solve_spectrum(long, narrow)]
+    for a, b in zip(together, alone, strict=True):
+        assert np.array_equal(a.wavenumbers, b.wavenumbers)
+        assert np.array_equal(a.multiplicities, b.multiplicities)
+        assert np.array_equal(a.residuals, b.residuals)
+        assert (a.status, a.complete, a.nfl_max, a.messages) == (
+            b.status, b.complete, b.nfl_max, b.messages
+        )
+
+
+def test_solve_spectra_needs_one_vertex_and_edge_count():
+    cfg = SolverConfig(0.1, 10.0)
+    with pytest.raises(ValueError):
+        solve_spectra([preset("goe_a").graph, three_star()], cfg)  # 6 and 3 edges
+    with pytest.raises(ValueError):
+        solve_spectra([interval_graph(), loop_graph()], cfg)  # 2 and 1 vertices
+    assert solve_spectra([], cfg) == []
 
 
 def test_coarse_default_scan_matches_fine_scan(rng):

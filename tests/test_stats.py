@@ -364,6 +364,13 @@ def test_spacing_sample_rejects_nonpositive():
         SpacingSample(spacings=np.array([0.5, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spacing_sample_rejects_nonfinite(bad):
+    # nan <= 0 is False, so a positivity check alone lets nan through
+    with pytest.raises(ValueError):
+        SpacingSample(spacings=np.array([0.5, 1.0, bad]))
+
+
 # --------------------------------------------------------------------------
 # reference densities
 # --------------------------------------------------------------------------
