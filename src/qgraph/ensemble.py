@@ -34,7 +34,7 @@ from .solver import SolverConfig, Spectrum, solve_spectra, solve_spectrum  # noq
 from .stats import (
     ShiftDistribution,
     SpacingSample,
-    interlacing_degree,
+    _shift_steps,
     pool_shift_distributions,
     pool_spacings,
     shift_distribution,
@@ -239,10 +239,9 @@ def _unfoldable(spectrum: Spectrum) -> bool:
 
 
 def _pair_degree(before: Spectrum, after: Spectrum) -> int:
-    """Interlacing degree, or the maximum |Delta N| when a side is empty."""
-    if before.count and after.count:
-        return interlacing_degree(before, after)
-    return max(before.count, after.count)
+    """The maximum |Delta N|: the interlacing degree, also where a side is
+    empty and `interlacing_degree` refuses."""
+    return int(np.abs(_shift_steps(before, after)[1]).max())
 
 
 @dataclass(frozen=True)

@@ -165,7 +165,11 @@ COUNTING_HEADER = ["k_rad_per_m", "freq_GHz", "n_before", "n_after"]
 
 def write_counting_csv(path, before: Spectrum, after: Spectrum) -> None:
     """Merged staircase data of a before/after pair: one row at each window
-    edge and at each level in the window, with both counting functions."""
+    edge and at each level in the window, with both counting functions.
+
+    The counts are window-relative, zero at k_min; add a side's
+    `levels_below` to count from the bottom of the spectrum, as the
+    spectral shift does."""
     nb, na = CountingFunction(before), CountingFunction(after)
     ks = np.unique(np.concatenate([[before.window[0]], nb.levels, na.levels, [before.window[1]]]))
     rows = zip(ks.tolist(), ghz_from_k(ks).tolist(), nb(ks).tolist(), na(ks).tolist())

@@ -24,14 +24,17 @@ batched Anderson-Bjorck (regula falsi) iteration on a sign-changing
 function of M's eigenvalues polishes every root at once.  On the
 four-vertex networks its 4 x 4 eigenproblems cost about a tenth of the
 12 x 12 eigenphase problem.  Points where rounding could decide the
-vertex count are counted by eigenphases instead.  The eigenphase winding
-then verifies the result independently, between consecutive roots, and
-the smallest singular value of I - U(k) is reported at each root.
+vertex count, and the window edges, are counted by eigenphases instead.
+One eigenphase pass at the roots themselves then verifies the result
+independently, the winding up to each root counting the roots since the
+one before, and gives each root's residual: U unitary makes I - U
+normal, so the smallest singular value of I - U(k) is the distance
+2 |sin(theta / 2)| of the nearest eigenvalue e^{i theta} of U from 1.
 
 `solve_spectra` runs the scan and the isolation of several graphs with
 one vertex and edge count in lockstep, one kernel call per step for all
-of them; verification and residuals run graph by graph.  Each spectrum
-is bit for bit the one its graph gives alone (`solve_spectrum`).
+of them; verification runs graph by graph.  Each spectrum is bit for bit
+the one its graph gives alone (`solve_spectrum`).
 
 An independent finite-difference discretization of the graph Laplacian
 (with Peierls phases on the links) serves as a cross-method oracle.
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -203,7 +206,9 @@ class Spectrum:
     counting function, N_fl(k) = N(k) - L (k - k_min) / pi taken relative
     to the window's lower edge, stays within NFL_BOUND throughout the
     window.  `status` is "ok" only when the exact eigenphase-winding count
-    matched the roots found.
+    matched the roots found.  `levels_below` is the exact number of levels
+    in [0, k_min], the Neumann zero mode included, from the winding at
+    k_min: it anchors the counting function at the bottom of the spectrum.
     """
 
     wavenumbers: np.ndarray
@@ -215,6 +220,7 @@ class Spectrum:
     status: str
     nfl_max: float
     messages: tuple[str, ...] = ()
+    levels_below: int = 0
 
     def __post_init__(self):
         for arr in (self.wavenumbers, self.multiplicities, self.residuals):
@@ -267,13 +273,17 @@ VERTEX_ROUNDING = 8.0
 
 EPS = float(np.finfo(float).eps)
 
+# winding, polishing value and number of roots at each point (`_Batch.evaluate`)
+Counts = tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 class _BondProblem:
     """Cached bond and vertex arrays of one graph plus its two level counts.
 
     `evaluate` counts with the vertex matrix and drives the search;
     `phase_count` counts with the eigenphases of U(k), verifies the
-    result and stands in where the vertex count cannot decide.
+    result, decides the window edges and stands in where the vertex count
+    cannot decide.
     """
 
     def __init__(self, graph: MetricGraph, root_tolerance: float):
@@ -293,23 +303,23 @@ class _BondProblem:
         self.n_vertices = len(graph.vertices)
         self.offset = 0.5 * (len(graph.edges) + self.n_vertices)
 
-    def evaluate(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def evaluate(self, ks: np.ndarray) -> Counts:
         """`_Batch.evaluate` for this graph alone."""
         return _Batch([self]).evaluate(ks, np.zeros(ks.size, dtype=np.intp))
 
-    def phase_count(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def phase_count(self, ks: np.ndarray, band: float | None = None) -> Counts:
         """`evaluate`'s three arrays from the eigenphases of U(k).
 
-        A phase within phase_tol of zero marks a root at k.  Its sign is
-        rounding noise, so it always counts as passed: the winding
-        (2 L k - sum of principal phases) / 2 pi then steps by one at each
-        root.  The polishing value is the distance of the nearest phase
-        from zero, with the sign `evaluate`'s g has at the same winding,
-        (-1)^(w + (E + V) / 2 + V).
+        A phase within band (phase_tol unless given) of zero marks a root
+        at k.  Its sign is rounding noise, so it always counts as passed:
+        the winding (2 L k - sum of principal phases) / 2 pi then steps by
+        one at each root.  The polishing value is the distance of the
+        nearest phase from zero, with the sign `evaluate`'s g has at the
+        same winding, (-1)^(w + (E + V) / 2 + V).
         """
         theta = kernels.eigenphases(ks, self.lengths, self.chis, self.smat)
         signed = np.where(theta > math.pi, theta - TWO_PI, theta)
-        at_root = np.abs(signed) <= self.phase_tol
+        at_root = np.abs(signed) <= (self.phase_tol if band is None else band)
         passed = np.where(at_root, signed, theta)
         winding = (2.0 * self.total_length * ks - passed.sum(axis=1)) / TWO_PI
         parity = np.rint(winding + self.offset + self.n_vertices) % 2
@@ -335,9 +345,7 @@ class _Batch:
         self.rounding = np.array([p.rounding for p in problems])
         self.offset = np.array([p.offset for p in problems])
 
-    def evaluate(
-        self, ks: np.ndarray, owner: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def evaluate(self, ks: np.ndarray, owner: np.ndarray) -> Counts:
         """Winding, polishing value and number of roots at each k.
 
         ks[i] belongs to graph owner[i].  The winding is
@@ -388,7 +396,7 @@ def _isolate_roots(
     batch: _Batch,
     grid: np.ndarray,
     owner: np.ndarray,
-    scan: tuple[np.ndarray, np.ndarray, np.ndarray],
+    scan: Counts,
     config: SolverConfig,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Sorted roots with multiplicities in (first, last grid point] of
@@ -485,35 +493,42 @@ def _merge_close(
     return first, np.bincount(group, weights=mults, minlength=first.sum()).astype(np.int64)
 
 
-def _svd_residuals(problem: _BondProblem, ks: np.ndarray) -> np.ndarray:
-    """Smallest singular value of I - U(k) at each k."""
-    d = np.exp(1j * (ks[:, None] * problem.lengths + problem.chis))
-    a = np.eye(problem.lengths.size) - d[:, :, None] * problem.smat
-    return np.linalg.svd(a, compute_uv=False)[:, -1]
-
-
 def _verified_spectrum(
-    problem: _BondProblem, ks: np.ndarray, mults: np.ndarray, config: SolverConfig
+    problem: _BondProblem, ks: np.ndarray, mults: np.ndarray, ends: np.ndarray, config: SolverConfig
 ) -> Spectrum:
-    """The spectrum of one graph from its isolated roots: SVD residuals,
-    merged close roots and the eigenphase-winding verification."""
-    k_lo, k_hi = config.k_min, config.k_max
-    # contract residuals: smallest singular value of I - U at each root
-    residuals = _svd_residuals(problem, ks)
-    good = residuals <= config.residual_threshold
-    # roots are accurate to root_tolerance (phase_tol / v_min), and the
-    # probe midway between two roots must stay farther than that from both
-    # true roots, so roots closer than four tolerances become one root
-    keep, mults = _merge_close(ks[good], mults[good], 4.0 * problem.phase_tol / problem.v_min)
-    ks, residuals = ks[good][keep], residuals[good][keep]
+    """The spectrum of one graph from its isolated roots and the eigenphase
+    windings `ends` at k_min and k_max.
 
-    # exact count verification by the eigenphase winding, independent of
-    # the vertex count that found the roots: probes at the window edges and
-    # midway between consecutive roots, so segment i holds root i alone
-    edges = np.concatenate(([k_lo], 0.5 * (ks[1:] + ks[:-1]), [k_hi]))
-    raw = np.diff(problem.phase_count(edges)[0])
+    One eigenphase pass at the roots gives each root's residual, the
+    smallest singular value 2 sin(|theta| / 2) of I - U over the phases
+    theta of U, and the winding there.  Roots above residual_threshold are
+    dropped and close roots merge into one multiple root.  The winding
+    then counts, independently of the vertex count that found the roots,
+    each segment (previous root, root]: it must hold that root's
+    multiplicity, and (last root, k_max] none.
+    """
+    k_lo, k_hi = config.k_min, config.k_max
+    # a polished root lies within tol of its level, and eigenphases move no
+    # faster than the longest bond, so at a root its own phase lies within
+    # band of zero and passes
+    tol = problem.phase_tol / problem.v_min
+    band = problem.lengths.max() * tol
+    w_roots, g, _ = problem.phase_count(ks, band)
+    residuals = 2.0 * np.sin(0.5 * np.abs(g))
+    good = residuals <= config.residual_threshold
+    ks, w_roots, residuals = ks[good], w_roots[good], residuals[good]
+    # the band passes levels up to band / v_min past a probe's root, so
+    # roots closer than tol more (and always within four tol) become one
+    # multiple root: no probe passes the next root
+    keep, mults = _merge_close(ks, mults[good], max(4.0 * tol, tol + band / problem.v_min))
+    # a group's winding is read at its last root, so its segment holds all
+    # of its roots
+    last = np.roll(keep, -1)
+    edges = np.concatenate(([k_lo], ks[last], [k_hi]))
+    raw = np.diff(np.concatenate(([ends[0]], w_roots[last], [ends[1]])))
+    ks, residuals = ks[keep], residuals[keep]
     expected = np.rint(raw).astype(np.int64)
-    found = mults if ks.size else np.zeros(1, dtype=np.int64)
+    found = np.append(mults, 0)
 
     messages: list[str] = []
     inconclusive = np.abs(raw - expected) > 1e-5
@@ -539,10 +554,8 @@ def _verified_spectrum(
 
     expanded = np.repeat(ks, mults)
     nfl_max = fluctuation_envelope(expanded, (k_lo, k_hi), problem.total_length)
-    complete = bool(nfl_max <= NFL_BOUND + 1e-12)
-    if status != "ok" and complete:
-        # winding says a root is missing even though N_fl looks tame
-        complete = False
+    # a winding fault makes the spectrum incomplete even where N_fl looks tame
+    complete = status == "ok" and bool(nfl_max <= NFL_BOUND + 1e-12)
 
     return Spectrum(
         wavenumbers=ks,
@@ -554,6 +567,7 @@ def _verified_spectrum(
         status=status,
         nfl_max=nfl_max,
         messages=tuple(messages),
+        levels_below=int(np.rint(ends[0] + problem.offset)),
     )
 
 
@@ -565,12 +579,15 @@ def solve_spectra(graphs: Sequence[MetricGraph], config: SolverConfig) -> list[S
     One scan gives the exact vertex count of every grid cell of every
     graph; batched bisection and Anderson-Bjorck steps isolate and polish
     the roots of all graphs together (`_isolate_roots`).  Then, graph by
-    graph, the eigenphase winding counts each segment between consecutive
-    roots independently: a segment holding fewer roots than its count is
-    reported through `status` and the completeness flag, never silently
-    dropped.  A root within root_tolerance of a window edge lies on it:
-    excluded at k_min, included at k_max.  Each spectrum is bit for bit
-    the one the graph gives when solved alone.
+    graph, the eigenphase winding at the roots counts each segment up to a
+    root independently (`_verified_spectrum`): a segment holding fewer
+    roots than its count is reported through `status` and the completeness
+    flag, never silently dropped.  A root whose eigenphase at a window edge
+    lies within phase_tol of zero, as it does within
+    root_tolerance l_min / l_max of the edge, lies on it: excluded at
+    k_min, included at k_max.  The eigenphase count at the edge decides
+    that for the search and the verification alike.  Each spectrum is bit
+    for bit the one the graph gives when solved alone.
     """
     graphs = list(graphs)
     for graph in graphs:
@@ -593,10 +610,16 @@ def solve_spectra(graphs: Sequence[MetricGraph], config: SolverConfig) -> list[S
     owner = np.repeat(np.arange(len(grids)), [g.size for g in grids])
     batch = _Batch(problems)
     scan = batch.evaluate(grid, owner)
+    # the window edges take the verifying eigenphase count, so a level near
+    # an edge falls on the same side of it for the search and the
+    # verification; the vertex polishing value stays
+    ends = [np.flatnonzero(owner == i)[[0, -1]] for i in range(len(problems))]
+    for problem, pts in zip(problems, ends):
+        scan[0][pts], _, scan[2][pts] = problem.phase_count(grid[pts])
     roots = _isolate_roots(batch, grid, owner, scan, config)
     return [
-        _verified_spectrum(problem, ks, mults, config)
-        for problem, (ks, mults) in zip(problems, roots)
+        _verified_spectrum(problem, ks, mults, scan[0][pts], config)
+        for problem, (ks, mults), pts in zip(problems, roots, ends)
     ]
 
 
@@ -715,11 +738,10 @@ def drop_levels(spectrum: Spectrum, indices: list[int] | tuple[int, ...]) -> Spe
     kept = np.delete(expanded, np.asarray(indices, dtype=np.int64) - 1)
     ks, mults = np.unique(kept, return_counts=True)
     nfl_max = fluctuation_envelope(kept, spectrum.window, spectrum.total_length)
-    return Spectrum(
+    return replace(
+        spectrum,
         wavenumbers=ks,
         multiplicities=mults,
-        window=spectrum.window,
-        total_length=spectrum.total_length,
         residuals=np.zeros(ks.size),
         complete=bool(nfl_max <= NFL_BOUND + 1e-12),
         status="fault-injected",

@@ -121,6 +121,7 @@ def _shift_steps(before: Spectrum, after: Spectrum) -> tuple[np.ndarray, np.ndar
 
     `edges` is k_lo, every level of either side in (k_lo, k_hi], then k_hi;
     dn[j] is Delta N on [edges[j], edges[j+1]), each side counting its
+    levels from the bottom of the spectrum: its `levels_below` plus its
     in-window levels up to edges[j].  A level on k_hi leaves one zero-width
     segment at the end, which carries Delta N(k_hi).
     """
@@ -134,7 +135,7 @@ def _shift_steps(before: Spectrum, after: Spectrum) -> tuple[np.ndarray, np.ndar
     distinct[1:] = merged[1:] != merged[:-1]
     edges = np.concatenate(([k_lo], merged[distinct], [k_hi]))
     dn = np.searchsorted(a, edges[:-1], "right") - np.searchsorted(b, edges[:-1], "right")
-    return edges, dn
+    return edges, dn + (before.levels_below - after.levels_below)
 
 
 def shift_distribution(before: Spectrum, after: Spectrum) -> ShiftDistribution:
@@ -190,8 +191,9 @@ def interlacing_degree(before: Spectrum, after: Spectrum) -> int:
 
     Two spectra are r-interlaced exactly when sup |N(k) - N_tilde(k)| <= r
     (Aizenman, Schanz, Smilansky & Warzel, Acta Phys. Pol. A 132, 1699
-    (2017)), with both counting functions anchored at the window's lower
-    edge.  Identical spectra give r = 0.
+    (2017)), with both counting functions anchored at the bottom of the
+    spectrum through `Spectrum.levels_below`.  Identical spectra give
+    r = 0.
     """
     _, dn = _shift_steps(before, after)
     if before.count == 0 or after.count == 0:

@@ -126,6 +126,35 @@ def test_compare_parallel_edges_degree_zero(tmp_path, capsys):
     assert "interlacing degree: 0" in capsys.readouterr().out
 
 
+def test_compare_counts_from_the_bottom_of_the_spectrum(tmp_path, capsys):
+    # the switch moves this phased K4's ground state from 0.295 rad/m to
+    # below k_min = 0.1: counted from k_min the pair reads Delta N = 2 on
+    # (2.72, 2.81), counted from k = 0 it is level-1 interlaced
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    lengths = [0.49, 0.52, 0.6, 0.71, 0.37, 0.98]
+    phases = [0.2, -0.4, -0.8, 0.5, -0.7, -0.7]
+    g = MetricGraph(
+        vertices=(0, 1, 2, 3),
+        edges=tuple(
+            Edge(i + 1, u, v, length, a)
+            for i, ((u, v), length, a) in enumerate(zip(pairs, lengths, phases))
+        ),
+    )
+    gpath = tmp_path / "k4.json"
+    save_graph(g, gpath)
+    out = tmp_path / "cmp"
+    code = main(
+        ["compare", str(gpath), "--pivot", "0", "--edges", "1,2", "--window-k", "0.1:12",
+         "--out", str(out)]
+    )
+    assert code == 0
+    assert "interlacing degree: 1" in capsys.readouterr().out
+    # counting.csv stays window-relative: the after side's ground state
+    # lies below the window
+    back = qio.read_counting_csv(out / "counting.csv")
+    assert back["n_before"][0] == back["n_after"][0] == 0
+
+
 def test_compare_invalid_switch(goe_a_file, tmp_path):
     code = main(
         [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qgraph import kernels
+from qgraph import kernels, solver
 from qgraph.graphs import Edge, MetricGraph, SwitchDescriptor, edge_switch, negate_phases
 from qgraph.presets import gue_numerics_plan, preset
 from qgraph.solver import (
@@ -98,6 +98,27 @@ def test_window_is_half_open_at_edge_eigenvalues():
     assert upto.status == "ok" and upto.complete
 
 
+@pytest.mark.parametrize("name", ["gue", "goe_a"])
+def test_window_edges_within_a_tolerance_of_levels(name):
+    # a reported level, or a point within a tolerance of it, as k_min of one
+    # solve and k_max of another: the search and the verification put the
+    # level on the same side of the edge, so both solves are "ok" and
+    # split the levels between them
+    p = preset(name)
+    ref = solve_spectrum(p.graph, p.sweep.solver)
+    cfg = replace(p.sweep.solver, k_max=float(ref.wavenumbers[8:10].mean()))
+    want = ref.expanded()[ref.expanded() <= cfg.k_max]
+    for k in ref.wavenumbers[:8]:
+        for offset in (0.0, 0.25, -0.25, 0.5, -0.5, 0.9, -0.9):
+            edge = k + offset * cfg.root_tolerance
+            upto = solve_spectrum(p.graph, replace(cfg, k_max=edge))
+            above = solve_spectrum(p.graph, replace(cfg, k_min=edge))
+            assert upto.status == above.status == "ok"
+            got = np.concatenate((upto.expanded(), above.expanded()))
+            assert got.size == want.size
+            assert np.abs(got - want).max() < 1e-9
+
+
 def test_roots_on_scan_grid_points():
     # grid steps of pi/4 and pi/2 put scan points on every root
     spec = solve_spectrum(
@@ -118,13 +139,22 @@ def test_zero_mode_window_rejected():
         solve_spectrum(interval_graph(), SolverConfig(0.0, 10.5))
 
 
-@pytest.mark.parametrize("alpha", [1e-11, 1e-10, 1e-5, 1e-4, 1e-3, 2e-2])
-def test_split_ring_pairs_resolved(alpha):
+SPLIT_RINGS = [
+    pytest.param(alpha, 0.4, id=str(alpha)) for alpha in (1e-11, 1e-10, 1e-5, 1e-4, 1e-3, 2e-2)
+]
+# edges nine times apart: a root probe's band reaches nine tolerances past
+# its root, so pairs 4.2, 4.8 and 7 tolerances apart must merge
+SPLIT_RINGS += [pytest.param(sep * 5e-11, 0.1, id=f"unequal-{sep}") for sep in (4.2, 4.8, 7.0)]
+
+
+@pytest.mark.parametrize("alpha, short", SPLIT_RINGS)
+def test_split_ring_pairs_resolved(alpha, short):
     # a ring of length 1 with flux alpha has levels 2 pi n -/+ alpha: each
     # pair is 2 alpha apart, well inside one scan cell; pairs within a few
     # root tolerances come back as one double root
     ring = MetricGraph(
-        vertices=(0, 1), edges=(Edge(1, 0, 1, 0.4, alpha), Edge(2, 1, 0, 0.6, alpha))
+        vertices=(0, 1),
+        edges=(Edge(1, 0, 1, short, alpha), Edge(2, 1, 0, 1.0 - short, alpha)),
     )
     spec = solve_spectrum(ring, SolverConfig(0.1, 40.0))
     n = 2 * math.pi * np.arange(1, 7)
@@ -151,11 +181,44 @@ def test_numerics_solve_kernel_budget(monkeypatch):
     # count, so moving work from one to the other cannot pass vacuously
     for name in ("eigenphases", "vertex_eigenvalues"):
         monkeypatch.setattr(kernels, name, counted(getattr(kernels, name)))
+    # the residuals come from the verifying eigenphases, not from an SVD
+    svd_calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svd_calls.append(1) or svd(*a, **kw))
     plan = gue_numerics_plan(count=1, seed=5)
     spec = solve_spectrum(plan.pairs[0][0], plan.solver)
     assert spec.status == "ok" and spec.complete
     assert len(calls) <= 40
     assert sum(points) <= 10 * spec.count
+    assert not svd_calls
+
+
+@pytest.mark.parametrize(
+    "fault, status",
+    [("drop first", "incomplete"), ("drop middle", "incomplete"), ("drop last", "incomplete"),
+     ("one more", "anomaly")],
+)
+def test_verification_catches_search_faults(monkeypatch, fault, status):
+    # the eigenphase verification is independent of the search: a root the
+    # search loses, or a multiplicity it overcounts, never comes back "ok"
+    isolate = solver._isolate_roots
+
+    def faulty(*args):
+        found = []
+        for ks, mults in isolate(*args):
+            i = {"drop first": 0, "drop last": ks.size - 1}.get(fault, ks.size // 2)
+            if fault == "one more":
+                mults = mults.copy()
+                mults[i] += 1
+            else:
+                ks, mults = np.delete(ks, i), np.delete(mults, i)
+            found.append((ks, mults))
+        return found
+
+    monkeypatch.setattr(solver, "_isolate_roots", faulty)
+    p = preset("gue")
+    spec = solve_spectrum(p.graph, p.sweep.solver)
+    assert spec.status == status and not spec.complete
 
 
 def _tetrahedron(rng, spread):
@@ -274,14 +337,10 @@ def test_switch_pairs_interlace_at_level_one_property(graph, data):
     incident = [e.id for e in graph.edges if pivot in (e.u, e.v)]
     edge_a, edge_b = data.draw(st.permutations(incident))[:2]
     switched = edge_switch(graph, SwitchDescriptor(pivot, edge_a, edge_b))
-    cfg = SolverConfig(0.1, 12.0)
-    # the theorem counts from the bottom of the spectrum and the degree from
-    # k_min; the winding plus (E + V) / 2 counts the levels in [0, k], so
-    # equal windings at k_min mean the two counts start together (a
-    # magnetic ground state can lie below k_min on one side only)
-    w = [_BondProblem(g, 1e-10).evaluate(np.array([cfg.k_min]))[0] for g in (graph, switched)]
-    assume(w[0] == w[1])
-    before, after = solve_spectra([graph, switched], cfg)
+    # the theorem counts from the bottom of the spectrum, and so does the
+    # degree, through levels_below (a magnetic ground state can lie below
+    # k_min on one side only)
+    before, after = solve_spectra([graph, switched], SolverConfig(0.1, 12.0))
     assume(before.status == after.status == "ok")
     assert interlacing_degree(before, after) <= 1
 
@@ -410,6 +469,21 @@ def test_residuals_below_threshold():
     cfg = SolverConfig(0.1, 20.0)
     spec = solve_spectrum(three_star(), cfg)
     assert spec.residuals.max() <= cfg.residual_threshold
+
+
+@pytest.mark.parametrize("name", ["gue", "goe_a", "loop", "three_star"])
+def test_residuals_match_secular_residual(name):
+    # the residual from the nearest eigenphase is the smallest singular
+    # value of I - U that the SVD reference computes
+    if name in ("gue", "goe_a"):
+        graph, cfg = preset(name).graph, preset(name).sweep.solver
+    else:
+        graph = loop_graph() if name == "loop" else three_star()
+        cfg = SolverConfig(0.1, 20.0)
+    spec = solve_spectrum(graph, cfg)
+    assert spec.status == "ok" and spec.wavenumbers.size > 2
+    want = [secular_residual(graph, k) for k in spec.wavenumbers]
+    assert np.abs(spec.residuals - want).max() < 1e-12
 
 
 def test_fd_oracle_interval():
