@@ -612,14 +612,15 @@ def solve_spectra(graphs: Sequence[MetricGraph], config: SolverConfig) -> list[S
     scan = batch.evaluate(grid, owner)
     # the window edges take the verifying eigenphase count, so a level near
     # an edge falls on the same side of it for the search and the
-    # verification; the vertex polishing value stays
-    ends = [np.flatnonzero(owner == i)[[0, -1]] for i in range(len(problems))]
-    for problem, pts in zip(problems, ends):
+    # verification; the polishing value stays on the vertex count's scale,
+    # which the isolation's regula falsi steps compare it with
+    edge_pts = [np.flatnonzero(owner == i)[[0, -1]] for i in range(len(problems))]
+    for problem, pts in zip(problems, edge_pts):
         scan[0][pts], _, scan[2][pts] = problem.phase_count(grid[pts])
     roots = _isolate_roots(batch, grid, owner, scan, config)
     return [
         _verified_spectrum(problem, ks, mults, scan[0][pts], config)
-        for problem, (ks, mults), pts in zip(problems, roots, ends)
+        for problem, (ks, mults), pts in zip(problems, roots, edge_pts)
     ]
 
 
