@@ -341,12 +341,16 @@ def plan_from_manifest(manifest: dict) -> CampaignPlan:
       {"presets": ["goe_a", "goe_b"], ...}                    sweep pairs
       {"preset": "gue", "randomized": {"count": 40,
           "jitter": 0.02}, "seed": 7, ...}                    jittered pairs
-      {"graph_file": "g.json", "switch": {...},
-          "randomized": {...}, ...}                           jittered pairs
-      {"graph_file": "g.json", "sweep": {...}, ...}           explicit graph
-    Optional keys: "window_ghz": [lo, hi], "window_k": [lo, hi], "solver":
-    {...SolverConfig overrides...}, "seed".  A graph file carries no
-    window, so both graph_file shapes default to 0.01-2.5 GHz.
+      {"graph_file": "g.json", "switch": {"pivot": 1,
+          "edge_a": 3, "edge_b": 2}, "randomized": {...}}     jittered pairs
+      {"graph_file": "g.json", "sweep": {"grow_edge": 1,
+          "shrink_edge": 2, "step_delta": 0.001,
+          "step_count": 10, "switch": {...}}}                 step_count + 1
+                                                              sweep pairs
+    Optional keys: "window_ghz": [lo, hi], "window_k": [lo, hi] (finite),
+    "solver": {"scan_step": ...}, "seed".  Any other solver setting is
+    refused.  A graph file carries no window, so both graph_file shapes
+    default to 0.01-2.5 GHz.
     """
     from . import presets as presets_mod  # deferred: presets import this module
 
@@ -358,9 +362,12 @@ def plan_from_manifest(manifest: dict) -> CampaignPlan:
         if "window_k" in manifest:
             lo, hi = manifest["window_k"]
             cfg = replace(cfg, k_min=float(lo), k_max=float(hi))
-        for key in ("scan_step", "root_tolerance", "residual_threshold"):
-            if key in manifest.get("solver", {}):
-                cfg = replace(cfg, **{key: manifest["solver"][key]})
+        overrides = manifest.get("solver", {})
+        unknown = sorted(set(overrides) - {"scan_step"})
+        if unknown:
+            raise ValueError(f"unknown solver setting(s) {unknown}; only scan_step is accepted")
+        if "scan_step" in overrides:
+            cfg = replace(cfg, scan_step=overrides["scan_step"])
         cfg.check()
         return cfg
 

@@ -139,9 +139,11 @@ def validate(graph: MetricGraph) -> list[str]:
         if e.id in seen_ids:
             violations.append(f"duplicate edge id {e.id}")
         seen_ids.add(e.id)
-        if not (e.length > 0.0) or not math.isfinite(e.length):
-            violations.append(f"edge {e.id} has non-positive length {e.length}")
+        if not (0.0 < e.length < math.inf):
+            violations.append(f"edge {e.id} length must be positive and finite, got {e.length}")
             length_ok = False
+        if not math.isfinite(e.phase_per_m):
+            violations.append(f"edge {e.id} phase_per_m must be finite, got {e.phase_per_m}")
         for endpoint in (e.u, e.v):
             if endpoint not in graph.vertices:
                 violations.append(f"edge {e.id} references unknown vertex {endpoint}")

@@ -30,11 +30,13 @@ one lies at least pi / (m + 1) from all m phases, where
 |lambda| <= cot(pi / (2 (m + 1))) <= T, so at most m + 1 passes are made
 and every accepted phase carries an error of at most about 100 eps.
 
-Kernels are single-threaded on purpose.  A campaign splits its sides
-into one chunk per worker, the workers split the chunks, and one batch
-holds the points of all sides of a chunk.  A point's result does not
-depend on the other points of its batch, which keeps results
-bit-identical at any worker count.
+Kernels are single-threaded on purpose: a campaign gives each worker one
+chunk of sides.  In a chunk, one call of each kernel per search step
+serves all sides (eigenphases only for points next to a pole), and one
+eigenphase call counts all window edges.  Verification calls eigenphases
+once per side: one call over all roots of a chunk would hold all their
+2E x 2E matrices at once.  A point's result does not depend on the other
+points of its call, which keeps results bit-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -70,10 +72,16 @@ def eigenphases(
     ks: (n,) wavenumbers; lengths, chis: (2E,) per-directed-bond metric
     lengths and fixed magnetic offsets; smat: (2E, 2E) complex vertex
     scattering matrix.  Returns (n, 2E) phases in [0, 2*pi).
+
+    Graphs with one bond count share a call through per-row arrays:
+    lengths and chis (n, 2E) and smat (n, 2E, 2E), row i those of the
+    graph of ks[i].  Every step acts on each row alone, so a row's phases
+    are bit for bit those of its graph's own call, unless some row has a
+    phase at exactly pi (see `_cayley_tangents`).
     """
-    m = lengths.size
-    d = np.exp(1j * (ks[:, None] * lengths[None, :] + chis[None, :]))
-    u = d[:, :, None] * smat[None, :, :]
+    m = lengths.shape[-1]
+    d = np.exp(1j * (ks[:, None] * lengths + chis))
+    u = d[:, :, None] * smat
     step = TWO_PI / (m + 1)
     bound = max(100.0, 1.0 / np.tan(np.pi / (2 * (m + 1))))
     phases = np.empty(u.shape[:2])
@@ -100,24 +108,20 @@ eigenphases_numpy = eigenphases
 
 
 def vertex_eigenvalues(
-    x: np.ndarray, cot_part: np.ndarray, csc_part: np.ndarray, owner: np.ndarray | None = None
+    x: np.ndarray, cot_part: np.ndarray, csc_part: np.ndarray, owner: np.ndarray
 ) -> np.ndarray:
     """Ascending eigenvalues of the vertex matrices at the edge phases x.
 
     M = cot(x) @ cot_part + csc(x) @ csc_part, reshaped to V x V.  x: (n, E)
-    edge phases k * l_e, none a multiple of pi; cot_part (E, V*V) real and
-    csc_part (E, V*V) complex, from `solver.vertex_basis`.  Returns (n, V).
+    edge phases k * l_e, none a multiple of pi; cot_part (G, E, V*V) real
+    and csc_part (G, E, V*V) complex stack the arrays of `solver.vertex_basis`
+    for G graphs with one vertex and edge count, and owner (n,) names the
+    graph of each row.  Returns (n, V).
 
-    Graphs with one vertex and edge count share a call: cot_part and
-    csc_part then stack their arrays to (G, E, V*V), and owner (n,) names
-    the graph of each row.  Each graph's rows, in their order, go through
-    the products with that graph's arrays alone, and `eigvalsh` solves
-    every matrix on its own, so a row's eigenvalues do not depend on the
-    other graphs in the call.
+    Each graph's rows, in their order, go through the products with that
+    graph's arrays alone, and `eigvalsh` solves every matrix on its own, so
+    a row's eigenvalues do not depend on the other graphs in the call.
     """
-    if owner is None:
-        cot_part, csc_part = cot_part[None], csc_part[None]
-        owner = np.zeros(len(x), dtype=np.intp)
     csc = 1.0 / np.sin(x)
     cot = np.cos(x) * csc
     m = np.empty((len(x), cot_part.shape[-1]), dtype=np.complex128)

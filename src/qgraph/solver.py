@@ -31,10 +31,14 @@ one before, and gives each root's residual: U unitary makes I - U
 normal, so the smallest singular value of I - U(k) is the distance
 2 |sin(theta / 2)| of the nearest eigenvalue e^{i theta} of U from 1.
 
-`solve_spectra` runs the scan and the isolation of several graphs with
-one vertex and edge count in lockstep, one kernel call per step for all
-of them; verification runs graph by graph.  Each spectrum is bit for bit
-the one its graph gives alone (`solve_spectrum`).
+`solve_spectra` solves graphs with one vertex and edge count in lockstep
+from their stacked arrays, each kernel call taking a point's graph from
+an owner index: one vertex-kernel call per search step, one eigenphase
+call for all window edges, at most one per step next to a pole, and one
+per graph to verify.  A verification call over all roots of a chunk
+would hold all their 2E x 2E matrices at once, which raised a 6-side
+chunk's peak memory by a fifth.  Each spectrum is bit for bit the one
+its graph gives alone (`solve_spectrum`).
 
 An independent finite-difference discretization of the graph Laplacian
 (with Peierls phases on the links) serves as a cross-method oracle.
@@ -64,6 +68,8 @@ __all__ = [
     "spectrum_under_phase_reversal",
     "drop_levels",
     "NFL_BOUND",
+    "ROOT_TOLERANCE",
+    "RESIDUAL_THRESHOLD",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -168,7 +174,7 @@ def secular_residual(graph: MetricGraph, k: float) -> float:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Window and tolerances for a spectral solve.
+    """Window and scan step for a spectral solve.
 
     scan_step defaults to pi / (2 L): the mean level density is L/pi per
     unit k, so the scan places two points per mean spacing.  The winding
@@ -179,18 +185,14 @@ class SolverConfig:
     k_min: float
     k_max: float
     scan_step: float | None = None
-    root_tolerance: float = 1e-10
-    residual_threshold: float = 1e-6
 
     def check(self) -> None:
-        if not (0.0 < self.k_min < self.k_max):
-            raise ValueError(f"need 0 < k_min < k_max, got ({self.k_min}, {self.k_max})")
+        if not (0.0 < self.k_min < self.k_max < math.inf):
+            raise ValueError(
+                f"need 0 < k_min < k_max, both finite, got ({self.k_min}, {self.k_max})"
+            )
         if self.scan_step is not None and not (self.scan_step > 0.0):
             raise ValueError(f"scan_step must be positive, got {self.scan_step}")
-        if not (self.root_tolerance > 0.0):
-            raise ValueError("root_tolerance must be positive")
-        if not (self.residual_threshold > 0.0):
-            raise ValueError("residual_threshold must be positive")
 
     def effective_step(self, total_length: float) -> float:
         if self.scan_step is not None:
@@ -256,10 +258,16 @@ def fluctuation_envelope(
 # scan / isolate / verify
 # ---------------------------------------------------------------------------
 
+# Roots are polished to within ROOT_TOLERANCE in k.  A root whose residual,
+# the smallest singular value of I - U(k), exceeds RESIDUAL_THRESHOLD is
+# dropped.
+ROOT_TOLERANCE = 1e-10
+RESIDUAL_THRESHOLD = 1e-6
+
 # The Cayley-map kernel's eigenphase errors are about eps * max|tan(phi/2)|,
 # which its rotations keep below eps * max(100, 2 (2E + 1) / pi), 2.2e-14 up
 # to 78 edges.  A phase this close to zero is taken as a root whatever
-# root_tolerance asks for, so no decision rests on the sign of noise.
+# ROOT_TOLERANCE asks for, so no decision rests on the sign of noise.
 PHASE_FLOOR = 1e-12
 
 # Every eigenvalue of the vertex matrix M(k) is computed to within
@@ -277,73 +285,38 @@ EPS = float(np.finfo(float).eps)
 Counts = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-class _BondProblem:
-    """Cached bond and vertex arrays of one graph plus its two level counts.
+class _Batch:
+    """Bond and vertex arrays of graphs with one vertex and one edge count,
+    stacked along a first axis, plus their two level counts.
 
     `evaluate` counts with the vertex matrix and drives the search;
     `phase_count` counts with the eigenphases of U(k), verifies the
     result, decides the window edges and stands in where the vertex count
-    cannot decide.
+    cannot decide.  Both take the graph of each point from an owner index,
+    so one kernel call serves points of every graph.  The kernels treat
+    each graph's rows on their own, so every point's three numbers come
+    out bit for bit as a batch of its graph alone gives them.
     """
 
-    def __init__(self, graph: MetricGraph, root_tolerance: float):
-        self.lengths, self.chis, self.smat = bond_basis(graph)
-        self.edge_lengths, self.cot_part, self.csc_part = vertex_basis(graph)
-        self.total_length = graph.total_length
+    def __init__(self, graphs: Sequence[MetricGraph]):
+        self.lengths, self.chis, self.smat = map(np.stack, zip(*map(bond_basis, graphs)))
+        self.edge_lengths, self.cot_part, self.csc_part = map(
+            np.stack, zip(*map(vertex_basis, graphs))
+        )
+        self.total_length = np.array([g.total_length for g in graphs])
         # eigenphases move upward no slower than the shortest bond, so a
-        # phase within phase_tol of zero puts k within root_tolerance of a root
-        self.v_min = float(self.lengths.min())
-        self.phase_tol = max(self.v_min * root_tolerance, PHASE_FLOOR)
+        # phase within phase_tol of zero puts k within ROOT_TOLERANCE of a root
+        self.v_min = self.lengths.min(axis=1)
+        self.phase_tol = np.maximum(self.v_min * ROOT_TOLERANCE, PHASE_FLOOR)
         # eigenvalues of M rise no slower than v_min / 2 (each edge block's
         # k-derivative has eigenvalues l / (1 -/+ |cos k l|), a loop's at
         # least l), so an eigenvalue computed within eig_tol of zero with an
-        # error below eig_tol puts k within root_tolerance of a root
-        self.eig_tol = 0.25 * self.v_min * root_tolerance
-        self.rounding = VERTEX_ROUNDING * EPS * 2.0 * max(map(graph.degree, graph.vertices))
-        self.n_vertices = len(graph.vertices)
-        self.offset = 0.5 * (len(graph.edges) + self.n_vertices)
-
-    def evaluate(self, ks: np.ndarray) -> Counts:
-        """`_Batch.evaluate` for this graph alone."""
-        return _Batch([self]).evaluate(ks, np.zeros(ks.size, dtype=np.intp))
-
-    def phase_count(self, ks: np.ndarray, band: float | None = None) -> Counts:
-        """`evaluate`'s three arrays from the eigenphases of U(k).
-
-        A phase within band (phase_tol unless given) of zero marks a root
-        at k.  Its sign is rounding noise, so it always counts as passed:
-        the winding (2 L k - sum of principal phases) / 2 pi then steps by
-        one at each root.  The polishing value is the distance of the
-        nearest phase from zero, with the sign `evaluate`'s g has at the
-        same winding, (-1)^(w + (E + V) / 2 + V).
-        """
-        theta = kernels.eigenphases(ks, self.lengths, self.chis, self.smat)
-        signed = np.where(theta > math.pi, theta - TWO_PI, theta)
-        at_root = np.abs(signed) <= (self.phase_tol if band is None else band)
-        passed = np.where(at_root, signed, theta)
-        winding = (2.0 * self.total_length * ks - passed.sum(axis=1)) / TWO_PI
-        parity = np.rint(winding + self.offset + self.n_vertices) % 2
-        g = (1.0 - 2.0 * parity) * np.abs(signed).min(axis=1)
-        return winding, g, at_root.sum(axis=1)
-
-
-class _Batch:
-    """The problems of graphs with one vertex and one edge count, stacked
-    so that one vertex-kernel call counts points of all of them.
-
-    Every point's three numbers come out bit for bit as its graph's own
-    problem alone would give them: the kernel multiplies each graph's rows
-    with that graph's arrays, and the eigenphase fallback runs per graph.
-    """
-
-    def __init__(self, problems: list[_BondProblem]):
-        self.problems = problems
-        self.edge_lengths = np.stack([p.edge_lengths for p in problems])
-        self.cot_part = np.stack([p.cot_part for p in problems])
-        self.csc_part = np.stack([p.csc_part for p in problems])
-        self.eig_tol = np.array([p.eig_tol for p in problems])
-        self.rounding = np.array([p.rounding for p in problems])
-        self.offset = np.array([p.offset for p in problems])
+        # error below eig_tol puts k within ROOT_TOLERANCE of a root
+        self.eig_tol = 0.25 * self.v_min * ROOT_TOLERANCE
+        degrees = np.array([max(map(g.degree, g.vertices)) for g in graphs])
+        self.rounding = VERTEX_ROUNDING * EPS * 2.0 * degrees
+        self.n_vertices = len(graphs[0].vertices)
+        self.offset = 0.5 * (len(graphs[0].edges) + self.n_vertices)
 
     def evaluate(self, ks: np.ndarray, owner: np.ndarray) -> Counts:
         """Winding, polishing value and number of roots at each k.
@@ -360,7 +333,7 @@ class _Batch:
         at roots and changes sign at every simple root.  Points where
         rounding could flip the sign of an eigenvalue, or where
         floor(x / pi) could disagree with the sign of sin x, are counted by
-        `phase_count`.
+        one `phase_count` call.
         """
         x = ks[:, None] * self.edge_lengths[owner]
         s_min = np.abs(np.sin(x)).min(axis=1)
@@ -381,23 +354,39 @@ class _Batch:
         winding, g = np.empty(ks.size), np.empty(ks.size)
         on_root = np.empty(ks.size, dtype=np.int64)
         floors = np.floor(x[idx] / math.pi).sum(axis=1)
-        winding[idx] = floors + (lam >= -eig_tol).sum(axis=1) - self.offset[own]
+        winding[idx] = floors + (lam >= -eig_tol).sum(axis=1) - self.offset
         g[idx] = (1.0 - 2.0 * (floors % 2)) * (np.arctan(lam) / (0.5 * math.pi)).prod(axis=1)
         on_root[idx] = (mag <= eig_tol).sum(axis=1)
         rest = np.ones(ks.size, dtype=bool)
         rest[idx] = False
-        for i in np.flatnonzero(np.bincount(owner[rest], minlength=len(self.problems))):
-            pts = np.flatnonzero(rest & (owner == i))
-            winding[pts], g[pts], on_root[pts] = self.problems[i].phase_count(ks[pts])
+        if rest.any():
+            winding[rest], g[rest], on_root[rest] = self.phase_count(ks[rest], owner[rest])
         return winding, g, on_root
+
+    def phase_count(self, ks: np.ndarray, owner: np.ndarray, band: float | None = None) -> Counts:
+        """`evaluate`'s three arrays from the eigenphases of U(k).
+
+        ks[i] belongs to graph owner[i].  A phase within band (the graph's
+        phase_tol unless given) of zero marks a root at k.  Its sign is
+        rounding noise, so it always counts as passed: the winding
+        (2 L k - sum of principal phases) / 2 pi then steps by one at each
+        root.  The polishing value is the distance of the nearest phase
+        from zero, with the sign `evaluate`'s g has at the same winding,
+        (-1)^(w + (E + V) / 2 + V).
+        """
+        theta = kernels.eigenphases(ks, self.lengths[owner], self.chis[owner], self.smat[owner])
+        signed = np.where(theta > math.pi, theta - TWO_PI, theta)
+        tol = self.phase_tol[owner] if band is None else np.full(ks.size, band)
+        at_root = np.abs(signed) <= tol[:, None]
+        passed = np.where(at_root, signed, theta)
+        winding = (2.0 * self.total_length[owner] * ks - passed.sum(axis=1)) / TWO_PI
+        parity = np.rint(winding + self.offset + self.n_vertices) % 2
+        g = (1.0 - 2.0 * parity) * np.abs(signed).min(axis=1)
+        return winding, g, at_root.sum(axis=1)
 
 
 def _isolate_roots(
-    batch: _Batch,
-    grid: np.ndarray,
-    owner: np.ndarray,
-    scan: Counts,
-    config: SolverConfig,
+    batch: _Batch, grid: np.ndarray, owner: np.ndarray, scan: Counts
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Sorted roots with multiplicities in (first, last grid point] of
     every graph of the batch.
@@ -411,7 +400,7 @@ def _isolate_roots(
     A step stays half a tolerance inside the cell.  The winding at x
     splits the count between (a, x] and (x, b]; empty halves are dropped.
     A cell is done when all its roots sit on its right end, or when it is
-    narrower than root_tolerance (a multiple root, reported at its
+    narrower than ROOT_TOLERANCE (a multiple root, reported at its
     midpoint).  Cells still open after MAX_REFINEMENT_ITERATIONS are left
     out, which the final winding verification reports.  Each graph's
     cells keep the order a batch of that graph alone gives them, so its
@@ -436,7 +425,7 @@ def _isolate_roots(
     for _ in range(MAX_REFINEMENT_ITERATIONS):
         a, b, count = cells["a"], cells["b"], cells["count"]
         on_end = cells["on_b"] >= count
-        narrow = ~on_end & (b - a < config.root_tolerance)
+        narrow = ~on_end & (b - a < ROOT_TOLERANCE)
         roots += [b[on_end], 0.5 * (a + b)[narrow]]
         mults += [count[on_end], count[narrow]]
         owners += [cells["owner"][on_end], cells["owner"][narrow]]
@@ -449,8 +438,8 @@ def _isolate_roots(
         falsi = (cells["count"] == 1) & (np.sign(fa) * np.sign(fb) < 0.0)
         x = b - gb * (b - a) / np.where(falsi, gb - ga, 1.0)
         # a root within half a tolerance of an end is then closed in by a
-        # cell narrower than root_tolerance, not approached from one side
-        half = 0.5 * config.root_tolerance
+        # cell narrower than ROOT_TOLERANCE, not approached from one side
+        half = 0.5 * ROOT_TOLERANCE
         x = np.where(falsi, np.clip(x, a + half, b - half), 0.5 * (a + b))
         wx, fx, on_x = batch.evaluate(x, cells["owner"])
 
@@ -472,7 +461,7 @@ def _isolate_roots(
 
     ks, mults, owners = (np.concatenate(v) for v in (roots, mults, owners))
     found = []
-    for i in range(len(batch.problems)):
+    for i in range(len(batch.total_length)):
         k, m = ks[owners == i], mults[owners == i]
         order = np.argsort(k)
         found.append((k[order], m[order]))
@@ -494,33 +483,34 @@ def _merge_close(
 
 
 def _verified_spectrum(
-    problem: _BondProblem, ks: np.ndarray, mults: np.ndarray, ends: np.ndarray, config: SolverConfig
+    batch: _Batch, i: int, ks: np.ndarray, mults: np.ndarray, ends: np.ndarray, config: SolverConfig
 ) -> Spectrum:
-    """The spectrum of one graph from its isolated roots and the eigenphase
-    windings `ends` at k_min and k_max.
+    """The spectrum of graph i of the batch from its isolated roots and the
+    eigenphase windings `ends` at k_min and k_max.
 
-    One eigenphase pass at the roots gives each root's residual, the
+    One eigenphase call at the roots gives each root's residual, the
     smallest singular value 2 sin(|theta| / 2) of I - U over the phases
-    theta of U, and the winding there.  Roots above residual_threshold are
+    theta of U, and the winding there.  Roots above RESIDUAL_THRESHOLD are
     dropped and close roots merge into one multiple root.  The winding
     then counts, independently of the vertex count that found the roots,
     each segment (previous root, root]: it must hold that root's
     multiplicity, and (last root, k_max] none.
     """
     k_lo, k_hi = config.k_min, config.k_max
+    v_min, total_length = batch.v_min[i], float(batch.total_length[i])
     # a polished root lies within tol of its level, and eigenphases move no
     # faster than the longest bond, so at a root its own phase lies within
     # band of zero and passes
-    tol = problem.phase_tol / problem.v_min
-    band = problem.lengths.max() * tol
-    w_roots, g, _ = problem.phase_count(ks, band)
+    tol = batch.phase_tol[i] / v_min
+    band = batch.lengths[i].max() * tol
+    w_roots, g, _ = batch.phase_count(ks, np.full(ks.size, i), band)
     residuals = 2.0 * np.sin(0.5 * np.abs(g))
-    good = residuals <= config.residual_threshold
+    good = residuals <= RESIDUAL_THRESHOLD
     ks, w_roots, residuals = ks[good], w_roots[good], residuals[good]
     # the band passes levels up to band / v_min past a probe's root, so
     # roots closer than tol more (and always within four tol) become one
     # multiple root: no probe passes the next root
-    keep, mults = _merge_close(ks, mults[good], max(4.0 * tol, tol + band / problem.v_min))
+    keep, mults = _merge_close(ks, mults[good], max(4.0 * tol, tol + band / v_min))
     # a group's winding is read at its last root, so its segment holds all
     # of its roots
     last = np.roll(keep, -1)
@@ -553,7 +543,7 @@ def _verified_spectrum(
         status = "ok"
 
     expanded = np.repeat(ks, mults)
-    nfl_max = fluctuation_envelope(expanded, (k_lo, k_hi), problem.total_length)
+    nfl_max = fluctuation_envelope(expanded, (k_lo, k_hi), total_length)
     # a winding fault makes the spectrum incomplete even where N_fl looks tame
     complete = status == "ok" and bool(nfl_max <= NFL_BOUND + 1e-12)
 
@@ -561,13 +551,13 @@ def _verified_spectrum(
         wavenumbers=ks,
         multiplicities=mults,
         window=(k_lo, k_hi),
-        total_length=problem.total_length,
+        total_length=total_length,
         residuals=residuals,
         complete=complete,
         status=status,
         nfl_max=nfl_max,
         messages=tuple(messages),
-        levels_below=int(np.rint(ends[0] + problem.offset)),
+        levels_below=int(np.rint(ends[0] + batch.offset)),
     )
 
 
@@ -578,15 +568,15 @@ def solve_spectra(graphs: Sequence[MetricGraph], config: SolverConfig) -> list[S
     pair or a length-jittered ensemble does); they are solved in lockstep.
     One scan gives the exact vertex count of every grid cell of every
     graph; batched bisection and Anderson-Bjorck steps isolate and polish
-    the roots of all graphs together (`_isolate_roots`).  Then, graph by
-    graph, the eigenphase winding at the roots counts each segment up to a
-    root independently (`_verified_spectrum`): a segment holding fewer
-    roots than its count is reported through `status` and the completeness
-    flag, never silently dropped.  A root whose eigenphase at a window edge
-    lies within phase_tol of zero, as it does within
-    root_tolerance l_min / l_max of the edge, lies on it: excluded at
-    k_min, included at k_max.  The eigenphase count at the edge decides
-    that for the search and the verification alike.  Each spectrum is bit
+    the roots of all graphs together (`_isolate_roots`).  Then, one call
+    per graph, the eigenphase winding at the roots counts each segment up
+    to a root independently (`_verified_spectrum`): a segment holding
+    fewer roots than its count is reported through `status` and the
+    completeness flag, never silently dropped.  A root whose eigenphase at
+    a window edge lies within phase_tol of zero, as it does within
+    ROOT_TOLERANCE l_min / l_max of the edge, lies on it: excluded at
+    k_min, included at k_max.  One eigenphase call counts the edges of all
+    graphs, for the search and the verification alike.  Each spectrum is bit
     for bit the one the graph gives when solved alone.
     """
     graphs = list(graphs)
@@ -600,27 +590,26 @@ def solve_spectra(graphs: Sequence[MetricGraph], config: SolverConfig) -> list[S
     if not graphs:
         return []
 
-    problems = [_BondProblem(g, config.root_tolerance) for g in graphs]
     k_lo, k_hi = config.k_min, config.k_max
     grids = []
-    for problem in problems:
-        step = config.effective_step(problem.total_length)
+    for graph in graphs:
+        step = config.effective_step(graph.total_length)
         grids.append(np.linspace(k_lo, k_hi, max(int(math.ceil((k_hi - k_lo) / step)) + 1, 9)))
     grid = np.concatenate(grids)
     owner = np.repeat(np.arange(len(grids)), [g.size for g in grids])
-    batch = _Batch(problems)
+    batch = _Batch(graphs)
     scan = batch.evaluate(grid, owner)
     # the window edges take the verifying eigenphase count, so a level near
     # an edge falls on the same side of it for the search and the
     # verification; the polishing value stays on the vertex count's scale,
     # which the isolation's regula falsi steps compare it with
-    edge_pts = [np.flatnonzero(owner == i)[[0, -1]] for i in range(len(problems))]
-    for problem, pts in zip(problems, edge_pts):
-        scan[0][pts], _, scan[2][pts] = problem.phase_count(grid[pts])
-    roots = _isolate_roots(batch, grid, owner, scan, config)
+    edge_pts = np.array([np.flatnonzero(owner == i)[[0, -1]] for i in range(len(graphs))])
+    pts = edge_pts.ravel()
+    scan[0][pts], _, scan[2][pts] = batch.phase_count(grid[pts], owner[pts])
+    roots = _isolate_roots(batch, grid, owner, scan)
     return [
-        _verified_spectrum(problem, ks, mults, scan[0][pts], config)
-        for problem, (ks, mults), pts in zip(problems, roots, edge_pts)
+        _verified_spectrum(batch, i, ks, mults, scan[0][ends], config)
+        for i, ((ks, mults), ends) in enumerate(zip(roots, edge_pts))
     ]
 
 

@@ -46,9 +46,10 @@ def random_k4(rng, phase_scale=0.0):
 
 def eigvals_eigenphases(ks, lengths, chis, smat):
     """Reference kernel: the phases of the general eigenvalues of U(k), in
-    [0, 2 pi); same signature as qgraph.kernels.eigenphases."""
-    d = np.exp(1j * (ks[:, None] * lengths[None, :] + chis[None, :]))
-    u = d[:, :, None] * smat[None, :, :]
+    [0, 2 pi); same signature as qgraph.kernels.eigenphases, one graph's
+    (2E,) arrays or per-row (n, 2E) ones."""
+    d = np.exp(1j * (ks[:, None] * lengths + chis))
+    u = d[:, :, None] * smat
     return np.mod(np.angle(np.linalg.eigvals(u)), 2 * np.pi)
 
 

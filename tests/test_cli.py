@@ -38,6 +38,21 @@ def test_validate_negative_length(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
 
 
+@pytest.mark.parametrize("phase", [float("nan"), float("inf")])
+def test_validate_and_solve_reject_non_finite_phase(tmp_path, capsys, phase):
+    g = MetricGraph(vertices=(0, 1), edges=(Edge(1, 0, 1, 1.0),))
+    path = tmp_path / "bad.json"
+    save_graph(g, path)
+    data = json.loads(path.read_text())
+    data["edges"][0]["phase_per_m"] = phase
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 2
+    assert "phase_per_m" in capsys.readouterr().out
+    out = tmp_path / "spec.csv"
+    assert main(["solve", str(path), "--window-k", "0.1:10", "--out", str(out)]) == 2
+    assert "error: invalid graph" in capsys.readouterr().err
+
+
 def test_validate_disconnected(tmp_path):
     g = MetricGraph(
         vertices=(0, 1, 2, 3), edges=(Edge(1, 0, 1, 1.0), Edge(2, 2, 3, 1.0))
@@ -74,10 +89,13 @@ def test_solve_single_edge(tmp_path):
     assert np.allclose(ks, np.pi * np.arange(1, 4), rtol=1e-9)
 
 
-def test_solve_bad_window(goe_a_file, tmp_path):
+def test_solve_bad_window(goe_a_file, tmp_path, capsys):
     out = tmp_path / "spec.csv"
     code = main(["solve", goe_a_file, "--window-ghz", "2.5:0.01", "--out", str(out)])
     assert code == 2
+    # an infinite window is an input error, not an overflow in the scan grid
+    assert main(["solve", goe_a_file, "--window-k", "0.1:inf", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_compare_preset_switch(goe_a_file, tmp_path, capsys):
@@ -271,6 +289,27 @@ def test_campaign_sparse_window(goe_a_file, tmp_path, capsys, k_max, levels):
     assert spectrum["k_rad_per_m"].size == levels
     assert qio.read_spacings_csv(run / "spacings.csv").spacings.size == 0
     assert qio.read_interlacing_csv(run / "interlacing.csv") == [(0, levels, 0)]
+
+
+@pytest.mark.parametrize(
+    "extra, reason",
+    [({"window_k": [0.1, float("inf")]}, "k_min < k_max"),
+     ({"solver": {"root_tolerance": 1e-8}}, "root_tolerance")],
+)
+def test_campaign_refuses_bad_solver_settings(goe_a_file, tmp_path, capsys, extra, reason):
+    # an infinite window and a solver setting other than scan_step are
+    # input errors (exit 2), not degraded results or silently ignored
+    manifest = {
+        "graph_file": goe_a_file,
+        "switch": {"pivot": 0, "edge_a": 3, "edge_b": 5},
+        "randomized": {"count": 1, "jitter": 0.0},
+        **extra,
+    }
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps(manifest))
+    assert main(["campaign", str(mpath), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and reason in err
 
 
 def test_campaign_empty_manifest(tmp_path):

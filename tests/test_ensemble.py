@@ -15,7 +15,7 @@ from qgraph.ensemble import (
     run_campaign,
     sweep_plan,
 )
-from qgraph.graphs import SwitchDescriptor
+from qgraph.graphs import SwitchDescriptor, save_graph
 from qgraph.presets import gue_numerics_plan, gue_numerics_window, preset
 from qgraph.solver import SolverConfig
 from qgraph.units import k_from_ghz
@@ -220,6 +220,32 @@ def test_plan_from_manifest_randomized():
         a[0].canonical_edges() == b[0].canonical_edges()
         for a, b in zip(plan.pairs, again.pairs)
     )
+
+
+def test_plan_from_manifest_graph_file_sweep(tmp_path):
+    # a graph file with a sweep gives step_count + 1 pairs, the sweep's own,
+    # over the graph-file default window of 0.01-2.5 GHz
+    sweep = replace(preset("goe_a").sweep, step_count=3)
+    gpath = tmp_path / "goe_a.json"
+    save_graph(sweep.base, gpath)
+    switch = sweep.switch
+    manifest = {
+        "graph_file": str(gpath),
+        "sweep": {
+            "grow_edge": sweep.grow_edge,
+            "shrink_edge": sweep.shrink_edge,
+            "step_delta": sweep.step_delta,
+            "step_count": sweep.step_count,
+            "switch": {"pivot": switch.pivot, "edge_a": switch.edge_a, "edge_b": switch.edge_b},
+        },
+    }
+    plan = plan_from_manifest(manifest)
+    assert len(plan.pairs) == sweep.step_count + 1
+    assert (plan.solver.k_min, plan.solver.k_max) == (k_from_ghz(0.01), k_from_ghz(2.5))
+    assert plan.provenance["mode"] == "sweep"
+    assert [(b.canonical_edges(), a.canonical_edges()) for b, a in plan.pairs] == [
+        (b.canonical_edges(), a.canonical_edges()) for b, a in generate_configurations(sweep)
+    ]
 
 
 def test_gue_numerics_plan_matches_manifest():

@@ -33,6 +33,21 @@ def test_validate_zero_length_edge():
     assert "edge 1" in violations[0]
 
 
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+def test_validate_non_finite_phase(phase):
+    g = MetricGraph(vertices=(0, 1), edges=(Edge(1, 0, 1, 1.0, phase),))
+    violations = validate(g)
+    assert len(violations) == 1
+    assert "edge 1" in violations[0] and "phase_per_m" in violations[0]
+
+
+def test_validate_infinite_length():
+    g = MetricGraph(vertices=(0, 1), edges=(Edge(1, 0, 1, math.inf),))
+    violations = validate(g)
+    assert len(violations) == 1
+    assert "finite" in violations[0] and "non-positive" not in violations[0]
+
+
 def test_validate_disconnected():
     g = MetricGraph(
         vertices=(0, 1, 2, 3),

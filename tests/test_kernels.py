@@ -139,6 +139,19 @@ def test_eigenphases_half_open_range(graph):
         assert np.all((got >= 0.0) & (got < 2 * math.pi))
 
 
+def test_eigenphases_per_row_arrays_match_one_graph_calls(rng):
+    # graphs with one bond count share a call through per-row arrays, and
+    # each row's phases are bit for bit those of its graph's own call, the
+    # rows that need a rotated pass included
+    bases = [bond_basis(random_k4(rng, phase_scale=1.0)) for _ in range(3)]
+    bases.append(bond_basis(preset("gue").graph))
+    ks = rng.uniform(0.1, 60.0, size=400)
+    owner = rng.integers(0, len(bases), size=ks.size)
+    got = kernels.eigenphases(ks, *(np.stack(arrays)[owner] for arrays in zip(*bases)))
+    for i, basis in enumerate(bases):
+        assert np.array_equal(got[owner == i], kernels.eigenphases(ks[owner == i], *basis))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     lengths=st.lists(st.floats(0.05, 3.0), min_size=6, max_size=6),
@@ -185,7 +198,7 @@ def test_vertex_count_matches_eigenphase_winding(rng):
         off_root = np.abs(signed).min(axis=1) > 1e-9
         winding = (2 * g.total_length * ks - theta.sum(axis=1)) / (2 * math.pi)
         x = ks[:, None] * lengths
-        lam = kernels.vertex_eigenvalues(x, cot_part, csc_part)
+        lam = kernels.vertex_eigenvalues(x, cot_part[None], csc_part[None], np.zeros(ks.size, int))
         count = np.floor(x / math.pi).sum(axis=1) + (lam > 0).sum(axis=1)
         offset = 0.5 * (len(g.edges) + len(g.vertices))
         assert off_root.mean() > 0.99
@@ -200,7 +213,9 @@ def test_vertex_matrix_singular_at_eigenvalues():
     lengths, cot_part, csc_part = vertex_basis(three_star())
     x = THREE_STAR_ORACLE[:, None] * lengths
     off_pole = np.abs(np.sin(x)).min(axis=1) > 1e-3
-    lam = kernels.vertex_eigenvalues(x[off_pole], cot_part, csc_part)
+    lam = kernels.vertex_eigenvalues(
+        x[off_pole], cot_part[None], csc_part[None], np.zeros(off_pole.sum(), int)
+    )
     assert off_pole.sum() >= 10
     assert np.abs(lam).min(axis=1).max() < 1e-7
     m = np.cos(x) / np.sin(x) @ cot_part + (1 / np.sin(x)) @ csc_part

@@ -9,8 +9,10 @@ from qgraph import kernels, solver
 from qgraph.graphs import Edge, MetricGraph, SwitchDescriptor, edge_switch, negate_phases
 from qgraph.presets import gue_numerics_plan, preset
 from qgraph.solver import (
+    RESIDUAL_THRESHOLD,
+    ROOT_TOLERANCE,
     SolverConfig,
-    _BondProblem,
+    _Batch,
     bond_matrix,
     drop_levels,
     fd_oracle_spectrum,
@@ -110,7 +112,7 @@ def test_window_edges_within_a_tolerance_of_levels(name):
     want = ref.expanded()[ref.expanded() <= cfg.k_max]
     for k in ref.wavenumbers[:8]:
         for offset in (0.0, 0.25, -0.25, 0.5, -0.5, 0.9, -0.9):
-            edge = k + offset * cfg.root_tolerance
+            edge = k + offset * ROOT_TOLERANCE
             upto = solve_spectrum(p.graph, replace(cfg, k_max=edge))
             above = solve_spectrum(p.graph, replace(cfg, k_min=edge))
             assert upto.status == above.status == "ok"
@@ -240,19 +242,20 @@ def test_vertex_count_near_poles(rng, spread):
     # winding wherever neither count marks a root, while the plain inertia
     # of the computed 4 x 4 eigenvalues does not
     g = _tetrahedron(rng, spread)
-    problem = _BondProblem(g, 1e-10)
+    batch = _Batch([g])
     poles = np.concatenate([np.arange(1, 12) * math.pi / e.length for e in g.edges])
     offsets = np.concatenate([s * 10.0 ** -np.arange(4, 13) for s in (-1.0, 1.0)])
     ks = (poles[:, None] + offsets).ravel()
-    w_vertex, _, on_vertex = problem.evaluate(ks)
-    w_phase, _, on_phase = problem.phase_count(ks)
+    owner = np.zeros(ks.size, dtype=np.intp)
+    w_vertex, _, on_vertex = batch.evaluate(ks, owner)
+    w_phase, _, on_phase = batch.phase_count(ks, owner)
     off_root = (on_vertex == 0) & (on_phase == 0)
     assert off_root.mean() > 0.5
     assert np.abs(w_vertex - w_phase)[off_root].max() < 1e-9
 
-    x = ks[:, None] * problem.edge_lengths
-    lam = kernels.vertex_eigenvalues(x, problem.cot_part, problem.csc_part)
-    plain = np.floor(x / math.pi).sum(axis=1) + (lam > 0).sum(axis=1) - problem.offset
+    x = ks[:, None] * batch.edge_lengths[0]
+    lam = kernels.vertex_eigenvalues(x, batch.cot_part, batch.csc_part, owner)
+    plain = np.floor(x / math.pi).sum(axis=1) + (lam > 0).sum(axis=1) - batch.offset
     assert np.any(np.abs(plain - w_phase)[off_root] > 0.5)
 
 
@@ -285,9 +288,10 @@ def test_window_counts_match_both_counts_property(graph, cuts):
     assume(cuts.size >= 2)
     a, b = np.minimum(cuts[:-1], cuts[1:]), np.maximum(cuts[:-1], cuts[1:])
     inside = (levels[None, :] > a[:, None]) & (levels[None, :] <= b[:, None])
-    problem = _BondProblem(graph, 1e-10)
-    for count in (problem.phase_count, problem.evaluate):
-        wa, wb = count(a)[0], count(b)[0]
+    batch = _Batch([graph])
+    owner = np.zeros(a.size, dtype=np.intp)
+    for count in (batch.phase_count, batch.evaluate):
+        wa, wb = count(a, owner)[0], count(b, owner)[0]
         assert np.array_equal(np.rint(wb - wa), inside.sum(axis=1))
         assert np.abs(wb - wa - np.rint(wb - wa)).max() < 1e-9
 
@@ -322,7 +326,7 @@ def test_spectrum_invariant_under_edge_order_and_orientation(graph, data):
         assert a.status == b.status
         assert a.count == b.count
         assert np.array_equal(a.multiplicities, b.multiplicities)
-        assert np.abs(a.wavenumbers - b.wavenumbers).max(initial=0.0) <= 2.0 * cfg.root_tolerance
+        assert np.abs(a.wavenumbers - b.wavenumbers).max(initial=0.0) <= 2.0 * ROOT_TOLERANCE
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -387,6 +391,31 @@ def test_solve_spectra_bit_identical_to_solving_alone(rng, monkeypatch):
         assert (a.status, a.complete, a.nfl_max, a.messages) == (
             b.status, b.complete, b.nfl_max, b.messages
         )
+
+
+def test_phase_count_mixing_owners_matches_each_graph_alone(rng):
+    # one phase_count call over the points of several graphs gives every
+    # point's winding, polishing value and root count bit for bit as a
+    # batch of its graph alone does, at the default band and a given one;
+    # each graph's levels are among the points, so roots are marked
+    graphs = [random_k4(rng, phase_scale=1.0) for _ in range(3)] + [preset("gue").graph]
+    levels = [solve_spectrum(g, SolverConfig(0.1, 10.0)).wavenumbers for g in graphs]
+    ks = np.concatenate([rng.uniform(0.1, 60.0, size=200)] + levels)
+    owner = np.concatenate(
+        [rng.integers(0, len(graphs), size=200)]
+        + [np.full(k.size, i) for i, k in enumerate(levels)]
+    )
+    order = rng.permutation(ks.size)
+    ks, owner = ks[order], owner[order]
+    batch = _Batch(graphs)
+    for band in (None, 1e-3):
+        mixed = batch.phase_count(ks, owner, band)
+        assert mixed[2].any()
+        for i, graph in enumerate(graphs):
+            mine = owner == i
+            alone = _Batch([graph]).phase_count(ks[mine], np.zeros(mine.sum(), dtype=np.intp), band)
+            for got, want in zip(mixed, alone, strict=True):
+                assert np.array_equal(got[mine], want)
 
 
 def test_solve_spectra_needs_one_vertex_and_edge_count():
@@ -468,7 +497,7 @@ def test_goe_a_window_count():
 def test_residuals_below_threshold():
     cfg = SolverConfig(0.1, 20.0)
     spec = solve_spectrum(three_star(), cfg)
-    assert spec.residuals.max() <= cfg.residual_threshold
+    assert spec.residuals.max() <= RESIDUAL_THRESHOLD
 
 
 @pytest.mark.parametrize("name", ["gue", "goe_a", "loop", "three_star"])
@@ -517,7 +546,7 @@ def test_phase_reversal_symmetry():
     cfg = SolverConfig(k_from_ghz(0.8), k_from_ghz(1.6))
     plus, minus = spectrum_under_phase_reversal(g, cfg)
     assert plus.count == minus.count
-    assert np.abs(plus.expanded() - minus.expanded()).max() <= 2 * cfg.root_tolerance
+    assert np.abs(plus.expanded() - minus.expanded()).max() <= 2 * ROOT_TOLERANCE
 
 
 def test_phase_reversal_identity_without_phases():
@@ -539,7 +568,7 @@ def test_doubling_the_phases_moves_levels():
     )
     n = min(base.count, doubled.count)
     shift = np.abs(base.expanded()[:n] - doubled.expanded()[:n]).max()
-    assert shift > 10 * cfg.root_tolerance
+    assert shift > 10 * ROOT_TOLERANCE
 
 
 def test_determinism_bit_identical():
@@ -576,8 +605,9 @@ def test_solver_config_validation():
         SolverConfig(-1.0, 1.0).check()
     with pytest.raises(ValueError):
         SolverConfig(0.1, 1.0, scan_step=-1.0).check()
-    with pytest.raises(ValueError):
-        SolverConfig(0.1, 1.0, root_tolerance=0.0).check()
+    for k_min, k_max in ((0.1, math.inf), (0.1, math.nan), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            SolverConfig(k_min, k_max).check()
 
 
 def test_solve_rejects_invalid_graph():
