@@ -37,13 +37,9 @@ class CommandOutcome:
 
 
 def _parse_window(args) -> tuple[float, float]:
-    if args.window_k:
-        lo, hi = (float(x) for x in args.window_k.split(":"))
-        return lo, hi
-    if args.window_ghz:
-        lo, hi = (float(x) for x in args.window_ghz.split(":"))
-        return k_from_ghz(lo), k_from_ghz(hi)
-    raise ValueError("a window is required: --window-ghz a:b or --window-k a:b")
+    text, to_k = (args.window_ghz, k_from_ghz) if args.window_k is None else (args.window_k, float)
+    lo, hi = (to_k(float(x)) for x in text.split(":"))
+    return lo, hi
 
 
 def cmd_validate(args) -> CommandOutcome:
@@ -61,8 +57,7 @@ def cmd_validate(args) -> CommandOutcome:
 def cmd_solve(args) -> CommandOutcome:
     graph = load_graph(args.graph)
     k_lo, k_hi = _parse_window(args)
-    config = SolverConfig(k_min=k_lo, k_max=k_hi, scan_step=args.scan_step)
-    spectrum = solve_spectrum(graph, config)
+    spectrum = solve_spectrum(graph, SolverConfig(k_min=k_lo, k_max=k_hi))
     out = Path(args.out)
     qio.write_spectrum_csv(spectrum, out)
     weyl = weyl_count(graph.total_length, k_hi) - weyl_count(graph.total_length, k_lo)
@@ -118,10 +113,10 @@ def cmd_compare(args) -> CommandOutcome:
 def cmd_campaign(args) -> CommandOutcome:
     manifest = load_manifest(args.manifest)
     plan = plan_from_manifest(manifest)
-    result = run_campaign(plan, workers=args.workers)
     out_dir = args.out or manifest.get("out_dir")
     if not out_dir:
         raise ValueError("no output directory: pass --out or set out_dir in the manifest")
+    result = run_campaign(plan, workers=args.workers)
     paths = qio.emit_campaign_outputs(result, out_dir, manifest)
     lines = [
         f"{len(result.pairs)} pairs solved; "
@@ -189,19 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     def add_window(sp):
-        sp.add_argument("--window-ghz", help="frequency window a:b in GHz")
-        sp.add_argument("--window-k", help="wavenumber window a:b in rad/m")
+        window = sp.add_mutually_exclusive_group(required=True)
+        window.add_argument("--window-ghz", help="frequency window a:b in GHz")
+        window.add_argument("--window-k", help="wavenumber window a:b in rad/m")
 
     p = sub.add_parser("solve", help="solve one spectrum to CSV")
     p.add_argument("graph")
     add_window(p)
-    p.add_argument(
-        "--scan-step",
-        type=float,
-        default=None,
-        help="scan grid step in rad/m (default pi/(2L) for total length L, "
-        "two points per mean level spacing)",
-    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
 

@@ -34,7 +34,7 @@ from .solver import SolverConfig, Spectrum, solve_spectra, solve_spectrum  # noq
 from .stats import (
     ShiftDistribution,
     SpacingSample,
-    _shift_steps,
+    interlacing_degree,
     pool_shift_distributions,
     pool_spacings,
     shift_distribution,
@@ -82,8 +82,8 @@ class SweepSpec:
             raise ValueError("invalid base graph: " + "; ".join(violations))
         if self.step_count < 1:
             raise ValueError(f"step_count must be >= 1, got {self.step_count}")
-        if self.step_delta < 0.0:
-            raise ValueError(f"step_delta must be non-negative, got {self.step_delta}")
+        if not 0.0 <= self.step_delta < math.inf:
+            raise ValueError(f"step_delta must be non-negative and finite, got {self.step_delta}")
         shrink_len = self.base.edge_by_id(self.shrink_edge).length
         if self.step_delta * self.step_count >= shrink_len:
             raise ValueError(
@@ -122,8 +122,8 @@ def randomized_ensemble(
     """
     if count < 1:
         raise ValueError("count must be positive")
-    if length_jitter < 0.0:
-        raise ValueError("length_jitter must be non-negative")
+    if not 0.0 <= length_jitter < math.inf:
+        raise ValueError(f"length_jitter must be non-negative and finite, got {length_jitter}")
     if length_jitter == 0.0:
         if count != 1:
             raise ValueError("zero jitter cannot produce distinct configurations")
@@ -238,12 +238,6 @@ def _unfoldable(spectrum: Spectrum) -> bool:
     return spectrum.wavenumbers.size >= 2 and not np.any(spectrum.multiplicities > 1)
 
 
-def _pair_degree(before: Spectrum, after: Spectrum) -> int:
-    """The maximum |Delta N|: the interlacing degree, also where a side is
-    empty and `interlacing_degree` refuses."""
-    return int(np.abs(_shift_steps(before, after)[1]).max())
-
-
 @dataclass(frozen=True)
 class CampaignResult:
     pairs: tuple[PairResult, ...]
@@ -287,7 +281,7 @@ def run_campaign(plan: CampaignPlan, workers: int = 1) -> CampaignResult:
                 before=before,
                 after=after,
                 shift=shift_distribution(before, after),
-                degree=_pair_degree(before, after),
+                degree=interlacing_degree(before, after),
             )
         )
 
@@ -330,98 +324,127 @@ def load_manifest(path) -> dict:
     return manifest
 
 
-def _switch_from(entry: dict) -> SwitchDescriptor:
-    return SwitchDescriptor(int(entry["pivot"]), int(entry["edge_a"]), int(entry["edge_b"]))
+# the keys that name a campaign's graphs and its pairs, one set per shape
+_SHAPES = (
+    frozenset({"presets"}),
+    frozenset({"preset", "randomized"}),
+    frozenset({"graph_file", "switch", "randomized"}),
+    frozenset({"graph_file", "sweep"}),
+)
+_COMMON_KEYS = frozenset({"seed", "out_dir", "window_ghz", "window_k"})
+# the fields of each nested block and their kinds; None marks a nested block
+_FIELDS = {
+    "randomized": {"count": int, "jitter": float},
+    "switch": {"pivot": int, "edge_a": int, "edge_b": int},
+    "sweep": {"grow_edge": int, "shrink_edge": int, "step_delta": float, "step_count": int,
+              "switch": None},
+}
+_KINDS = {str: "a string", float: "a number", int: "a whole number"}
+
+
+def _check_keys(what: str, keys, fields) -> None:
+    """Refuse `keys` unless they are exactly `fields`, naming the difference."""
+    unexpected, missing = sorted(set(keys) - set(fields)), sorted(set(fields) - set(keys))
+    if unexpected or missing:
+        raise ValueError(f"{what}: " + ", ".join(
+            f"{label} key(s) {names}"
+            for label, names in (("unexpected", unexpected), ("missing", missing)) if names
+        ))
+
+
+def _value(value, name: str, kind):
+    """A JSON string or number as `kind`; int also needs a whole number."""
+    if kind is str:
+        ok = isinstance(value, str)
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and (
+            kind is float or isinstance(value, int) or value.is_integer()
+        )
+    if not ok:
+        raise ValueError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _block(value, name: str) -> dict:
+    """A nested block with exactly its fields, each read as its kind."""
+    fields = _FIELDS[name]
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object with keys {sorted(fields)}")
+    _check_keys(name, value, fields)
+    return {
+        key: _block(value[key], key) if kind is None else _value(value[key], key, kind)
+        for key, kind in fields.items()
+    }
+
+
+def _window(manifest: dict) -> SolverConfig | None:
+    """The manifest's window, checked, or None where the source's holds."""
+    keys = [key for key in ("window_ghz", "window_k") if key in manifest]
+    if len(keys) > 1:
+        raise ValueError("give at most one of window_ghz and window_k")
+    if not keys:
+        return None
+    value = manifest[keys[0]]
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{keys[0]} must be [lo, hi], got {value!r}")
+    to_k = k_from_ghz if keys[0] == "window_ghz" else float
+    config = SolverConfig(*(to_k(_value(x, keys[0], float)) for x in value))
+    config.check()
+    return config
 
 
 def plan_from_manifest(manifest: dict) -> CampaignPlan:
     """Build a campaign plan from a manifest dictionary.
 
-    Supported shapes:
-      {"presets": ["goe_a", "goe_b"], ...}                    sweep pairs
-      {"preset": "gue", "randomized": {"count": 40,
-          "jitter": 0.02}, "seed": 7, ...}                    jittered pairs
-      {"graph_file": "g.json", "switch": {"pivot": 1,
-          "edge_a": 3, "edge_b": 2}, "randomized": {...}}     jittered pairs
-      {"graph_file": "g.json", "sweep": {"grow_edge": 1,
-          "shrink_edge": 2, "step_delta": 0.001,
-          "step_count": 10, "switch": {...}}}                 step_count + 1
-                                                              sweep pairs
-    Optional keys: "window_ghz": [lo, hi], "window_k": [lo, hi] (finite),
-    "solver": {"scan_step": ...}, "seed".  Any other solver setting is
-    refused.  A graph file carries no window, so both graph_file shapes
-    default to 0.01-2.5 GHz.
+    The keys that name the graphs and the pairs select one of four shapes:
+      {"presets": [name, ...]}                      each preset's own sweep
+      {"preset": name, "randomized": {"count", "jitter"}}    jittered pairs
+      {"graph_file": path, "switch": {"pivot", "edge_a", "edge_b"},
+       "randomized": {...}}                                  jittered pairs
+      {"graph_file": path, "sweep": {"grow_edge", "shrink_edge",
+       "step_delta", "step_count", "switch": {...}}}   step_count + 1 pairs
+    Each shape may add "seed" (default 0), "out_dir", and one of
+    "window_ghz": [lo, hi] or "window_k": [lo, hi] (finite).  The source,
+    presets or a graph file, gives the base graphs and the window: a
+    preset its own, a graph file GOE_WINDOW_GHZ.  The schedule, a preset's
+    own sweep, the manifest's sweep or `randomized`, gives the pairs.
+    Keys outside one shape, a nested block whose keys are not exactly its
+    fields, and a malformed value are refused with ValueError.
     """
     from . import presets as presets_mod  # deferred: presets import this module
 
-    def solver_override(base: SolverConfig) -> SolverConfig:
-        cfg = base
-        if "window_ghz" in manifest:
-            lo, hi = manifest["window_ghz"]
-            cfg = replace(cfg, k_min=k_from_ghz(float(lo)), k_max=k_from_ghz(float(hi)))
-        if "window_k" in manifest:
-            lo, hi = manifest["window_k"]
-            cfg = replace(cfg, k_min=float(lo), k_max=float(hi))
-        overrides = manifest.get("solver", {})
-        unknown = sorted(set(overrides) - {"scan_step"})
-        if unknown:
-            raise ValueError(f"unknown solver setting(s) {unknown}; only scan_step is accepted")
-        if "scan_step" in overrides:
-            cfg = replace(cfg, scan_step=overrides["scan_step"])
-        cfg.check()
-        return cfg
+    # the shape sharing most keys with the manifest, the first on a tie,
+    # names the keys that are unexpected or missing
+    shape = max(_SHAPES, key=lambda keys: len(keys & set(manifest)))
+    _check_keys("manifest does not describe a campaign", set(manifest) - _COMMON_KEYS, shape)
+    seed = _value(manifest.get("seed", 0), "seed", int)
+    _value(manifest.get("out_dir", ""), "out_dir", str)
+    window = _window(manifest)
 
-    seed = int(manifest.get("seed", 0))
-    graph_file_solver = SolverConfig(k_min=k_from_ghz(0.01), k_max=k_from_ghz(2.5))
+    # source: (name, base graph, the preset's sweep or None, window)
+    if "graph_file" in shape:
+        path = _value(manifest["graph_file"], "graph_file", str)
+        default = SolverConfig(*map(k_from_ghz, presets_mod.GOE_WINDOW_GHZ))
+        sources = [(path, load_graph(path), None, window or default)]
+    else:
+        names = manifest["presets"] if "presets" in shape else [manifest["preset"]]
+        if not isinstance(names, list) or not names:
+            raise ValueError(f"presets must be a non-empty list, got {names!r}")
+        presets = [presets_mod.preset(_value(name, "preset", str)) for name in names]
+        sources = [(p.name, p.graph, p.sweep, window or p.sweep.solver) for p in presets]
 
-    if "presets" in manifest or (
-        "preset" in manifest and "randomized" not in manifest
-    ):
-        names = manifest.get("presets") or [manifest["preset"]]
-        specs = []
-        for name in names:
-            p = presets_mod.preset(name)
-            specs.append(replace(p.sweep, solver=solver_override(p.sweep.solver)))
-        return replace(
-            sweep_plan(*specs),
-            provenance={"presets": list(names), "seed": seed, "mode": "sweep"},
-        )
-
-    if "randomized" in manifest:
-        rnd = manifest["randomized"]
-        count = int(rnd["count"])
-        jitter = float(rnd["jitter"])
-        if "preset" in manifest:
-            p = presets_mod.preset(manifest["preset"])
-            base, switch, solver = p.graph, p.sweep.switch, p.sweep.solver
-            source = manifest["preset"]
-        elif "graph_file" in manifest:
-            base = load_graph(manifest["graph_file"])
-            switch = _switch_from(manifest["switch"])
-            solver = graph_file_solver
-            source = manifest["graph_file"]
-        else:
-            raise ValueError("randomized manifest needs a preset or graph_file")
-        return randomized_plan(
-            base, switch, solver_override(solver), count, jitter, seed, source
-        )
-
-    if "graph_file" in manifest:
-        base = load_graph(manifest["graph_file"])
-        sw = manifest["sweep"]
-        spec = SweepSpec(
-            base=base,
-            grow_edge=int(sw["grow_edge"]),
-            shrink_edge=int(sw["shrink_edge"]),
-            step_delta=float(sw["step_delta"]),
-            step_count=int(sw["step_count"]),
-            switch=_switch_from(sw["switch"]),
-            solver=solver_override(graph_file_solver),
-            label=manifest.get("label", "manifest"),
-        )
-        return replace(
-            sweep_plan(spec),
-            provenance={"graph_file": manifest["graph_file"], "seed": seed, "mode": "sweep"},
-        )
-
-    raise ValueError("manifest does not describe a campaign")
+    # schedule
+    if "randomized" in shape:
+        [(source, base, sweep, solver)] = sources
+        rnd = _block(manifest["randomized"], "randomized")
+        switch = sweep.switch if sweep else SwitchDescriptor(**_block(manifest["switch"], "switch"))
+        return randomized_plan(base, switch, solver, rnd["count"], rnd["jitter"], seed, source)
+    if "sweep" in shape:
+        [(source, base, _, solver)] = sources
+        sw = _block(manifest["sweep"], "sweep")
+        specs = [SweepSpec(base, switch=SwitchDescriptor(**sw.pop("switch")), solver=solver, **sw)]
+        head = {"graph_file": source}
+    else:
+        specs = [replace(sweep, solver=solver) for _, _, sweep, solver in sources]
+        head = {"presets": list(names)}
+    return replace(sweep_plan(*specs), provenance={**head, "seed": seed, "mode": "sweep"})

@@ -32,6 +32,7 @@ __all__ = [
     "Preset",
     "preset",
     "preset_names",
+    "GOE_WINDOW_GHZ",
     "GUE_PHASE_PER_M",
     "GUE_NUMERICS_LEVELS_PER_CONFIG",
     "gue_numerics_window",
@@ -50,6 +51,10 @@ GUE_PHASE_PER_M = 2.0
 # configurations, fixes the per-configuration level target; with the mean
 # density L/pi this pins the upper edge of the numerics window.
 GUE_NUMERICS_LEVELS_PER_CONFIG = 149
+
+# The window of the time-reversal-invariant sweeps, in GHz, and the default
+# of a campaign on a graph file, which carries no window
+GOE_WINDOW_GHZ = (0.01, 2.5)
 
 _A, _B, _C, _D = 0, 1, 2, 3
 
@@ -75,7 +80,7 @@ def _k4(lengths: dict[int, float], phase_per_m: float, name: str) -> MetricGraph
 
 
 def _goe_window() -> SolverConfig:
-    return SolverConfig(k_min=k_from_ghz(0.01), k_max=k_from_ghz(2.5))
+    return SolverConfig(*map(k_from_ghz, GOE_WINDOW_GHZ))
 
 
 def _goe_a() -> Preset:
@@ -198,7 +203,7 @@ def gue_numerics_window(graph: MetricGraph | None = None) -> tuple[float, float]
     """
     if graph is None:
         graph = preset("gue").graph
-    k_min = k_from_ghz(0.01)
+    k_min = k_from_ghz(GOE_WINDOW_GHZ[0])
     k_max = k_min + GUE_NUMERICS_LEVELS_PER_CONFIG * math.pi / graph.total_length
     return k_min, k_max
 

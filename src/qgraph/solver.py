@@ -174,30 +174,23 @@ def secular_residual(graph: MetricGraph, k: float) -> float:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Window and scan step for a spectral solve.
+    """The window (k_min, k_max] of a spectral solve.
 
-    scan_step defaults to pi / (2 L): the mean level density is L/pi per
-    unit k, so the scan places two points per mean spacing.  The winding
-    count of every scan cell is exact at any step, so the step trades scan
-    points against bisection steps, not completeness.
+    The scan steps pi / (2 L) for total length L, at least 9 points over
+    the window: the mean level density is L/pi per unit k, so the scan
+    places two points per mean spacing.  The count of every scan cell is
+    exact at any step, so the step trades scan points against bisection
+    steps, not completeness.
     """
 
     k_min: float
     k_max: float
-    scan_step: float | None = None
 
     def check(self) -> None:
         if not (0.0 < self.k_min < self.k_max < math.inf):
             raise ValueError(
                 f"need 0 < k_min < k_max, both finite, got ({self.k_min}, {self.k_max})"
             )
-        if self.scan_step is not None and not (self.scan_step > 0.0):
-            raise ValueError(f"scan_step must be positive, got {self.scan_step}")
-
-    def effective_step(self, total_length: float) -> float:
-        if self.scan_step is not None:
-            return self.scan_step
-        return math.pi / (2.0 * total_length)
 
 
 @dataclass(frozen=True)
@@ -593,7 +586,7 @@ def solve_spectra(graphs: Sequence[MetricGraph], config: SolverConfig) -> list[S
     k_lo, k_hi = config.k_min, config.k_max
     grids = []
     for graph in graphs:
-        step = config.effective_step(graph.total_length)
+        step = math.pi / (2.0 * graph.total_length)
         grids.append(np.linspace(k_lo, k_hi, max(int(math.ceil((k_hi - k_lo) / step)) + 1, 9)))
     grid = np.concatenate(grids)
     owner = np.repeat(np.arange(len(grids)), [g.size for g in grids])

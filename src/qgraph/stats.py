@@ -192,13 +192,10 @@ def interlacing_degree(before: Spectrum, after: Spectrum) -> int:
     Two spectra are r-interlaced exactly when sup |N(k) - N_tilde(k)| <= r
     (Aizenman, Schanz, Smilansky & Warzel, Acta Phys. Pol. A 132, 1699
     (2017)), with both counting functions anchored at the bottom of the
-    spectrum through `Spectrum.levels_below`.  Identical spectra give
-    r = 0.
+    spectrum through `Spectrum.levels_below`, so a side with no level in
+    the window has a degree too.  Identical spectra give r = 0.
     """
-    _, dn = _shift_steps(before, after)
-    if before.count == 0 or after.count == 0:
-        raise ValueError("interlacing degree needs non-empty spectra")
-    return int(np.abs(dn).max())
+    return int(np.abs(_shift_steps(before, after)[1]).max())
 
 
 @dataclass(frozen=True)

@@ -144,10 +144,9 @@ def test_compare_parallel_edges_degree_zero(tmp_path, capsys):
     assert "interlacing degree: 0" in capsys.readouterr().out
 
 
-def test_compare_counts_from_the_bottom_of_the_spectrum(tmp_path, capsys):
-    # the switch moves this phased K4's ground state from 0.295 rad/m to
-    # below k_min = 0.1: counted from k_min the pair reads Delta N = 2 on
-    # (2.72, 2.81), counted from k = 0 it is level-1 interlaced
+def _phased_k4_file(tmp_path) -> str:
+    """A phased K4 whose switch at vertex 0 of edges 1 and 2 moves the
+    ground state from 0.295 rad/m to below 0.1 rad/m."""
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     lengths = [0.49, 0.52, 0.6, 0.71, 0.37, 0.98]
     phases = [0.2, -0.4, -0.8, 0.5, -0.7, -0.7]
@@ -160,10 +159,16 @@ def test_compare_counts_from_the_bottom_of_the_spectrum(tmp_path, capsys):
     )
     gpath = tmp_path / "k4.json"
     save_graph(g, gpath)
+    return str(gpath)
+
+
+def test_compare_counts_from_the_bottom_of_the_spectrum(tmp_path, capsys):
+    # counted from k_min = 0.1 the pair reads Delta N = 2 on (2.72, 2.81),
+    # counted from k = 0 it is level-1 interlaced
     out = tmp_path / "cmp"
     code = main(
-        ["compare", str(gpath), "--pivot", "0", "--edges", "1,2", "--window-k", "0.1:12",
-         "--out", str(out)]
+        ["compare", _phased_k4_file(tmp_path), "--pivot", "0", "--edges", "1,2",
+         "--window-k", "0.1:12", "--out", str(out)]
     )
     assert code == 0
     assert "interlacing degree: 1" in capsys.readouterr().out
@@ -171,6 +176,33 @@ def test_compare_counts_from_the_bottom_of_the_spectrum(tmp_path, capsys):
     # lies below the window
     back = qio.read_counting_csv(out / "counting.csv")
     assert back["n_before"][0] == back["n_after"][0] == 0
+
+
+def test_compare_empty_window(tmp_path, capsys):
+    # no level of either side lies in (0.1, 0.29]: the after side's ground
+    # state lies below the window, so Delta N = -1 throughout and the
+    # degree is 1, where an empty side once ended in exit 2 after the CSVs
+    out = tmp_path / "cmp"
+    code = main(
+        ["compare", _phased_k4_file(tmp_path), "--pivot", "0", "--edges", "1,2",
+         "--window-k", "0.1:0.29", "--out", str(out)]
+    )
+    assert code == 0
+    assert "interlacing degree: 1" in capsys.readouterr().out
+    for side in ("before", "after"):
+        assert qio.read_spectrum_csv(out / f"spectrum_{side}.csv")["k_rad_per_m"].size == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_window_flags_exclusive(goe_a_file, tmp_path, capsys, command):
+    # both windows, or none, are usage errors: argparse exits 2
+    extra = ["--pivot", "0", "--edges", "3,5"] if command == "compare" else []
+    base = [command, goe_a_file, *extra, "--out", str(tmp_path / "out")]
+    for window in (["--window-k", "0.1:10", "--window-ghz", "0.01:2.5"], []):
+        with pytest.raises(SystemExit) as exit_info:
+            main(base + window)
+        assert exit_info.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_compare_invalid_switch(goe_a_file, tmp_path):
@@ -294,11 +326,11 @@ def test_campaign_sparse_window(goe_a_file, tmp_path, capsys, k_max, levels):
 @pytest.mark.parametrize(
     "extra, reason",
     [({"window_k": [0.1, float("inf")]}, "k_min < k_max"),
-     ({"solver": {"root_tolerance": 1e-8}}, "root_tolerance")],
+     ({"solver": {"root_tolerance": 1e-8}}, "['solver']")],
 )
 def test_campaign_refuses_bad_solver_settings(goe_a_file, tmp_path, capsys, extra, reason):
-    # an infinite window and a solver setting other than scan_step are
-    # input errors (exit 2), not degraded results or silently ignored
+    # an infinite window and a solver block are input errors (exit 2), not
+    # degraded results or silently ignored
     manifest = {
         "graph_file": goe_a_file,
         "switch": {"pivot": 0, "edge_a": 3, "edge_b": 5},
@@ -310,6 +342,52 @@ def test_campaign_refuses_bad_solver_settings(goe_a_file, tmp_path, capsys, extr
     assert main(["campaign", str(mpath), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and reason in err
+
+
+GOE_A_SWITCH = {"pivot": 0, "edge_a": 3, "edge_b": 5}
+RANDOMIZED = {"count": 3, "jitter": 0.02}
+SWEEP = {"grow_edge": 1, "shrink_edge": 2, "step_delta": 0.005, "step_count": 2,
+         "switch": GOE_A_SWITCH}
+
+
+@pytest.mark.parametrize(
+    "manifest, named",
+    [
+        ({"presets": ["gue"], "randomized": RANDOMIZED}, "['randomized']"),
+        ({"presets": ["gue"], "randomised": RANDOMIZED}, "['randomised']"),
+        ({"preset": "gue", "randomized": {**RANDOMIZED, "seed": 4}}, "['seed']"),
+        ({"preset": "gue", "graph_file": "g.json", "randomized": RANDOMIZED},
+         "['graph_file']"),
+        ({"graph_file": "g.json", "switch": GOE_A_SWITCH, "randomized": RANDOMIZED,
+          "sweep": SWEEP}, "['sweep']"),
+        ({"graph_file": "g.json", "sweep": {**SWEEP, "label": "x"}}, "['label']"),
+        ({"graph_file": "g.json", "sweep": {**SWEEP, "switch": {"pivot": 0}}},
+         "['edge_a', 'edge_b']"),
+        ({"presets": ["gue"], "window_ghz": [0.8, 2.5], "window_k": [16.8, 52.4]},
+         "window_ghz and window_k"),
+        ({"presets": ["gue"], "window_k": 5}, "window_k"),
+        ({"preset": "gue", "randomized": {"count": None, "jitter": 0.02}}, "count"),
+        ({"presets": ["gue"], "seed": 1.5}, "seed"),
+        ({"preset": "gue", "randomized": {"count": 2, "jitter": float("nan")}}, "jitter"),
+        ({"graph_file": "g.json", "sweep": {**SWEEP, "step_delta": float("nan")}}, "step_delta"),
+        ({"preset": "gue"}, "['randomized']"),
+        ({"presets": "goe_a"}, "presets"),
+        ({"presets": []}, "presets"),
+        ({"presets": ["gue"], "solver": {"scan_step": 1e-9}}, "['solver']"),
+        ({"presets": ["gue"], "label": "run"}, "['label']"),
+    ],
+)
+def test_campaign_refuses_malformed_manifest(tmp_path, monkeypatch, capsys, manifest, named):
+    # every manifest outside the grammar is an input error (exit 2) whose
+    # message names what is wrong, never a sweep that drops a key and never
+    # a traceback
+    monkeypatch.chdir(tmp_path)
+    save_graph(preset("goe_a").graph, "g.json")
+    Path("manifest.json").write_text(json.dumps(manifest))
+    assert main(["campaign", "manifest.json", "--out", "run"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err and not Path("run").exists()
 
 
 def test_campaign_empty_manifest(tmp_path):

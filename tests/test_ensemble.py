@@ -1,5 +1,7 @@
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,3 +273,20 @@ def test_plan_from_manifest_rejects_garbage(tmp_path):
     empty.write_text("{}")
     with pytest.raises(ValueError):
         load_manifest(empty)
+
+
+def test_readme_manifests_follow_the_grammar(tmp_path, monkeypatch):
+    # every manifest the README shows builds a plan, so the docs cannot
+    # drift from the grammar
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Campaign manifests", 1)[1].split("\n#", 1)[0]
+    blocks = re.findall(r"```json\n(.*?)```", section, re.S)
+    assert len(blocks) == 4
+    monkeypatch.chdir(tmp_path)
+    save_graph(preset("gue").graph, "g.json")
+    modes = set()
+    for block in blocks:
+        plan = plan_from_manifest(json.loads(block))
+        assert plan.pairs
+        modes.add(plan.provenance["mode"])
+    assert modes == {"sweep", "randomized"}

@@ -122,13 +122,12 @@ def test_window_edges_within_a_tolerance_of_levels(name):
 
 
 def test_roots_on_scan_grid_points():
-    # grid steps of pi/4 and pi/2 put scan points on every root
-    spec = solve_spectrum(
-        interval_graph(), SolverConfig(math.pi / 2, 2.5 * math.pi, scan_step=math.pi / 4)
-    )
+    # both windows get the 9-point minimum grid, steps of pi/4 and pi/2,
+    # which puts scan points on every root
+    spec = solve_spectrum(interval_graph(), SolverConfig(math.pi / 2, 2.5 * math.pi))
     assert np.allclose(spec.expanded(), [math.pi, 2 * math.pi], rtol=1e-9)
     assert spec.status == "ok"
-    loop = solve_spectrum(loop_graph(), SolverConfig(math.pi, 5 * math.pi, scan_step=math.pi / 2))
+    loop = solve_spectrum(loop_graph(), SolverConfig(math.pi, 5 * math.pi))
     assert np.allclose(loop.wavenumbers, [2 * math.pi, 4 * math.pi], rtol=1e-9)
     assert list(loop.multiplicities) == [2, 2] and loop.status == "ok"
 
@@ -428,19 +427,22 @@ def test_solve_spectra_needs_one_vertex_and_edge_count():
 
 
 def test_coarse_default_scan_matches_fine_scan(rng):
-    # per-cell winding counts are exact at any step, so the default two
-    # points per mean spacing finds what an eight-point scan finds
+    # per-cell counts are exact at any step, so the default two points per
+    # mean spacing finds what an eight-point scan finds: the union of solves
+    # over sub-windows at most one mean spacing wide, each of which gets the
+    # 9-point minimum grid, a step of at most pi / (8 L)
     for _ in range(20):
         g = random_k4(rng, phase_scale=1.0)
-        cfg = SolverConfig(0.1, 40.0)
-        coarse = solve_spectrum(g, cfg)
-        fine = solve_spectrum(
-            g, SolverConfig(0.1, 40.0, scan_step=math.pi / (8.0 * g.total_length))
-        )
-        assert coarse.status == "ok" and fine.status == "ok"
-        assert coarse.count == fine.count
-        assert np.array_equal(coarse.multiplicities, fine.multiplicities)
-        assert np.abs(coarse.wavenumbers - fine.wavenumbers).max() < 1e-9
+        coarse = solve_spectrum(g, SolverConfig(0.1, 40.0))
+        n = math.ceil((40.0 - 0.1) * g.total_length / math.pi)
+        edges = np.linspace(0.1, 40.0, n + 1)
+        parts = [solve_spectrum(g, SolverConfig(lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+        assert coarse.status == "ok" and all(part.status == "ok" for part in parts)
+        fine_ks = np.concatenate([part.wavenumbers for part in parts])
+        fine_mults = np.concatenate([part.multiplicities for part in parts])
+        assert coarse.count == fine_mults.sum()
+        assert np.array_equal(coarse.multiplicities, fine_mults)
+        assert np.abs(coarse.wavenumbers - fine_ks).max() < 1e-9
 
 
 def test_spectra_match_eigvals_kernel(rng, monkeypatch):
@@ -603,8 +605,6 @@ def test_solver_config_validation():
         SolverConfig(5.0, 1.0).check()
     with pytest.raises(ValueError):
         SolverConfig(-1.0, 1.0).check()
-    with pytest.raises(ValueError):
-        SolverConfig(0.1, 1.0, scan_step=-1.0).check()
     for k_min, k_max in ((0.1, math.inf), (0.1, math.nan), (math.nan, 1.0)):
         with pytest.raises(ValueError):
             SolverConfig(k_min, k_max).check()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,11 +201,16 @@ def test_interlacing_displaced_level():
     assert interlacing_degree(before, after) >= 2
 
 
-def test_interlacing_empty_rejected():
+def test_interlacing_empty_side():
+    # Delta N counts from the bottom of the spectrum, so a side with no
+    # level in the window still has a degree
     a = make_spectrum([], (0.0, 1.0), 1.0)
     b = make_spectrum([0.5], (0.0, 1.0), 1.0)
-    with pytest.raises(ValueError):
-        interlacing_degree(a, b)
+    assert interlacing_degree(a, b) == interlacing_degree(b, a) == 1
+    assert interlacing_degree(a, a) == 0
+    below = replace(a, levels_below=2)
+    assert interlacing_degree(below, b) == 2
+    assert interlacing_degree(below, replace(b, levels_below=1)) == 1
 
 
 def _max_abs_shift(a, b, window):
