@@ -8,8 +8,10 @@ references, and ensemble campaign tooling.
 from .graphs import (
     Edge,
     MetricGraph,
+    SweepSpec,
     SwitchDescriptor,
     edge_switch,
+    generate_configurations,
     load_graph,
     negate_phases,
     save_graph,
@@ -44,11 +46,9 @@ from .stats import (
 from .ensemble import (
     CampaignPlan,
     CampaignResult,
-    SweepSpec,
-    generate_configurations,
+    plan_from_manifest,
     randomized_ensemble,
     run_campaign,
-    sweep_plan,
 )
 from .presets import preset, preset_names
 

@@ -7,9 +7,8 @@ Exit codes: 0 success, 1 degraded results, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import io as qio
@@ -42,6 +41,13 @@ def _parse_window(args) -> tuple[float, float]:
     return lo, hi
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def cmd_validate(args) -> CommandOutcome:
     graph = load_graph(args.graph)
     violations = validate(graph)
@@ -66,8 +72,7 @@ def cmd_solve(args) -> CommandOutcome:
         f"Weyl estimate {weyl:.1f}; max |N_fl| = {spectrum.nfl_max:.2f}; "
         f"status {spectrum.status}"
     )
-    code = 0 if spectrum.complete and spectrum.status == "ok" else 1
-    return CommandOutcome(code, summary, (str(out),))
+    return CommandOutcome(0 if spectrum.complete else 1, summary, (str(out),))
 
 
 def cmd_compare(args) -> CommandOutcome:
@@ -210,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("campaign", help="run a campaign manifest")
     p.add_argument("manifest")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_campaign)
 

@@ -20,13 +20,14 @@ import numpy as np
 
 from .graphs import (
     MetricGraph,
+    SweepSpec,
     SwitchDescriptor,
     edge_switch,
+    generate_configurations,
     load_graph,
     pin_total_length,
-    transfer_length,
-    validate,
 )
+from .presets import GOE_WINDOW, gue_numerics_window, preset
 # campaigns solve through solve_spectra; solve_spectrum stays importable here
 # because perfbench/tracing.py patches qgraph.ensemble.solve_spectrum, and
 # traced benchmark runs fail without it
@@ -43,69 +44,16 @@ from .stats import (
 from .units import k_from_ghz
 
 __all__ = [
-    "SweepSpec",
     "CampaignPlan",
     "PairResult",
     "CampaignResult",
-    "generate_configurations",
     "randomized_ensemble",
-    "sweep_plan",
     "randomized_plan",
     "run_campaign",
     "plan_from_manifest",
     "load_manifest",
+    "gue_numerics_plan",
 ]
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A base graph plus a length-transfer schedule and a switch.
-
-    Configuration i (i = 0..step_count) moves i * step_delta meters from
-    the shrink edge to the grow edge, then pairs the result with its
-    edge-switch image; the sweep yields step_count + 1 pairs of constant
-    total length.
-    """
-
-    base: MetricGraph
-    grow_edge: int
-    shrink_edge: int
-    step_delta: float
-    step_count: int
-    switch: SwitchDescriptor
-    solver: SolverConfig
-    label: str = ""
-
-    def check(self) -> None:
-        violations = validate(self.base)
-        if violations:
-            raise ValueError("invalid base graph: " + "; ".join(violations))
-        if self.step_count < 1:
-            raise ValueError(f"step_count must be >= 1, got {self.step_count}")
-        if not 0.0 <= self.step_delta < math.inf:
-            raise ValueError(f"step_delta must be non-negative and finite, got {self.step_delta}")
-        shrink_len = self.base.edge_by_id(self.shrink_edge).length
-        if self.step_delta * self.step_count >= shrink_len:
-            raise ValueError(
-                f"sweep would degenerate edge {self.shrink_edge}: transfers "
-                f"{self.step_delta * self.step_count} m of {shrink_len} m"
-            )
-        self.switch.check(self.base)
-        self.solver.check()
-
-
-def generate_configurations(
-    spec: SweepSpec,
-) -> list[tuple[MetricGraph, MetricGraph]]:
-    """All (before, after) pairs of the sweep, constant total length."""
-    spec.check()
-    pairs = []
-    for i in range(spec.step_count + 1):
-        g = transfer_length(
-            spec.base, spec.shrink_edge, spec.grow_edge, i * spec.step_delta
-        )
-        pairs.append((g, edge_switch(g, spec.switch)))
-    return pairs
 
 
 def randomized_ensemble(
@@ -172,21 +120,6 @@ class CampaignPlan:
     pairs: tuple[tuple[MetricGraph, MetricGraph], ...]
     solver: SolverConfig
     provenance: dict = field(default_factory=dict)
-
-
-def sweep_plan(*specs: SweepSpec) -> CampaignPlan:
-    """The pairs of one or more sweeps that share one solver configuration."""
-    pairs: list[tuple[MetricGraph, MetricGraph]] = []
-    labels = []
-    solver = specs[0].solver
-    for s in specs:
-        if s.solver != solver:
-            raise ValueError("combined sweeps must share one solver configuration")
-        pairs.extend(generate_configurations(s))
-        labels.append(s.label or "sweep")
-    return CampaignPlan(
-        pairs=tuple(pairs), solver=solver, provenance={"sweeps": labels}
-    )
 
 
 def randomized_plan(
@@ -318,10 +251,20 @@ def run_campaign(plan: CampaignPlan, workers: int = 1) -> CampaignResult:
 
 def load_manifest(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        manifest = json.load(fh, object_pairs_hook=_unique_keys)
     if not isinstance(manifest, dict) or not manifest:
         raise ValueError("manifest must be a non-empty JSON object")
     return manifest
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a repeated key (json keeps the last)."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"manifest repeats key {key!r}")
+        out[key] = value
+    return out
 
 
 # the keys that name a campaign's graphs and its pairs, one set per shape
@@ -406,13 +349,12 @@ def plan_from_manifest(manifest: dict) -> CampaignPlan:
     Each shape may add "seed" (default 0), "out_dir", and one of
     "window_ghz": [lo, hi] or "window_k": [lo, hi] (finite).  The source,
     presets or a graph file, gives the base graphs and the window: a
-    preset its own, a graph file GOE_WINDOW_GHZ.  The schedule, a preset's
-    own sweep, the manifest's sweep or `randomized`, gives the pairs.
-    Keys outside one shape, a nested block whose keys are not exactly its
-    fields, and a malformed value are refused with ValueError.
+    preset its own, a graph file GOE_WINDOW.  Presets whose windows differ
+    need the manifest's window.  The schedule, a preset's own sweep, the
+    manifest's sweep or `randomized`, gives the pairs.  Keys outside one
+    shape, a nested block whose keys are not exactly its fields, and a
+    malformed value are refused with ValueError.
     """
-    from . import presets as presets_mod  # deferred: presets import this module
-
     # the shape sharing most keys with the manifest, the first on a tie,
     # names the keys that are unexpected or missing
     shape = max(_SHAPES, key=lambda keys: len(keys & set(manifest)))
@@ -421,30 +363,55 @@ def plan_from_manifest(manifest: dict) -> CampaignPlan:
     _value(manifest.get("out_dir", ""), "out_dir", str)
     window = _window(manifest)
 
-    # source: (name, base graph, the preset's sweep or None, window)
+    # source: (name, base graph, the preset's sweep or None), and its windows
     if "graph_file" in shape:
         path = _value(manifest["graph_file"], "graph_file", str)
-        default = SolverConfig(*map(k_from_ghz, presets_mod.GOE_WINDOW_GHZ))
-        sources = [(path, load_graph(path), None, window or default)]
+        sources, windows = [(path, load_graph(path), None)], {GOE_WINDOW}
     else:
         names = manifest["presets"] if "presets" in shape else [manifest["preset"]]
         if not isinstance(names, list) or not names:
             raise ValueError(f"presets must be a non-empty list, got {names!r}")
-        presets = [presets_mod.preset(_value(name, "preset", str)) for name in names]
-        sources = [(p.name, p.graph, p.sweep, window or p.sweep.solver) for p in presets]
+        presets = [preset(_value(name, "preset", str)) for name in names]
+        sources = [(p.name, p.graph, p.sweep) for p in presets]
+        windows = {p.window for p in presets}
+    if window is None:
+        if len(windows) > 1:
+            raise ValueError(
+                f"presets {', '.join(names)} have different windows; "
+                "give window_ghz or window_k"
+            )
+        [window] = windows
 
     # schedule
     if "randomized" in shape:
-        [(source, base, sweep, solver)] = sources
+        [(source, base, sweep)] = sources
         rnd = _block(manifest["randomized"], "randomized")
         switch = sweep.switch if sweep else SwitchDescriptor(**_block(manifest["switch"], "switch"))
-        return randomized_plan(base, switch, solver, rnd["count"], rnd["jitter"], seed, source)
+        return randomized_plan(base, switch, window, rnd["count"], rnd["jitter"], seed, source)
     if "sweep" in shape:
-        [(source, base, _, solver)] = sources
+        [(source, base, _)] = sources
         sw = _block(manifest["sweep"], "sweep")
-        specs = [SweepSpec(base, switch=SwitchDescriptor(**sw.pop("switch")), solver=solver, **sw)]
+        sweeps = [(base, SweepSpec(switch=SwitchDescriptor(**sw.pop("switch")), **sw))]
         head = {"graph_file": source}
     else:
-        specs = [replace(sweep, solver=solver) for _, _, sweep, solver in sources]
+        sweeps = [(base, sweep) for _, base, sweep in sources]
         head = {"presets": list(names)}
-    return replace(sweep_plan(*specs), provenance={**head, "seed": seed, "mode": "sweep"})
+    pairs = tuple(pair for base, sweep in sweeps for pair in generate_configurations(base, sweep))
+    return CampaignPlan(pairs, window, {**head, "seed": seed, "mode": "sweep"})
+
+
+def gue_numerics_plan(
+    count: int = 40, jitter: float = 0.02, seed: int = 20260809
+) -> CampaignPlan:
+    """The 40-configuration broken-time-reversal campaign.
+
+    Configurations are seeded length jitters of the gue preset at constant
+    total length, each paired with its edge-switch image and solved over
+    the count-derived window of `gue_numerics_window`.
+    """
+    return plan_from_manifest({
+        "preset": "gue",
+        "randomized": {"count": count, "jitter": jitter},
+        "seed": seed,
+        "window_k": list(gue_numerics_window()),
+    })

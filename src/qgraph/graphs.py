@@ -17,9 +17,11 @@ __all__ = [
     "Edge",
     "MetricGraph",
     "SwitchDescriptor",
+    "SweepSpec",
     "validate",
     "edge_switch",
     "transfer_length",
+    "generate_configurations",
     "pin_total_length",
     "negate_phases",
     "load_graph",
@@ -243,6 +245,51 @@ def transfer_length(
         return graph.with_edges(new_edges)
 
     return pin_total_length(build, new_dst_len, total_before)
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """A length-transfer schedule and a switch, applied to a base graph.
+
+    Configuration i (i = 0..step_count) moves i * step_delta meters from
+    the shrink edge to the grow edge, then pairs the result with its
+    edge-switch image; the sweep yields step_count + 1 pairs of constant
+    total length.
+    """
+
+    grow_edge: int
+    shrink_edge: int
+    step_delta: float
+    step_count: int
+    switch: SwitchDescriptor
+
+    def check(self, base: MetricGraph) -> None:
+        violations = validate(base)
+        if violations:
+            raise ValueError("invalid base graph: " + "; ".join(violations))
+        if self.step_count < 1:
+            raise ValueError(f"step_count must be >= 1, got {self.step_count}")
+        if not 0.0 <= self.step_delta < math.inf:
+            raise ValueError(f"step_delta must be non-negative and finite, got {self.step_delta}")
+        shrink_len = base.edge_by_id(self.shrink_edge).length
+        if self.step_delta * self.step_count >= shrink_len:
+            raise ValueError(
+                f"sweep would degenerate edge {self.shrink_edge}: transfers "
+                f"{self.step_delta * self.step_count} m of {shrink_len} m"
+            )
+        self.switch.check(base)
+
+
+def generate_configurations(
+    base: MetricGraph, spec: SweepSpec
+) -> list[tuple[MetricGraph, MetricGraph]]:
+    """All (before, after) pairs of the sweep on `base`, constant total length."""
+    spec.check(base)
+    pairs = []
+    for i in range(spec.step_count + 1):
+        g = transfer_length(base, spec.shrink_edge, spec.grow_edge, i * spec.step_delta)
+        pairs.append((g, edge_switch(g, spec.switch)))
+    return pairs
 
 
 def pin_total_length(build, length0: float, target: float) -> MetricGraph:

@@ -75,7 +75,7 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 # O(1) bound on the fluctuating part of the counting function; exceeding it
-# marks the spectrum incomplete.
+# marks a fault-injected spectrum incomplete.
 NFL_BOUND = 3.0
 
 # Isolation iterations before cells still open are left to the final
@@ -197,13 +197,17 @@ class SolverConfig:
 class Spectrum:
     """Sorted real wavenumbers with multiplicities over a k-window.
 
-    The completeness flag records whether the fluctuating part of the
-    counting function, N_fl(k) = N(k) - L (k - k_min) / pi taken relative
-    to the window's lower edge, stays within NFL_BOUND throughout the
-    window.  `status` is "ok" only when the exact eigenphase-winding count
-    matched the roots found.  `levels_below` is the exact number of levels
-    in [0, k_min], the Neumann zero mode included, from the winding at
-    k_min: it anchors the counting function at the bottom of the spectrum.
+    `status` is "ok" only when the exact eigenphase-winding count matched
+    the roots found, and a solved spectrum is complete exactly then.
+    `nfl_max` is the largest |N_fl(k)|, the fluctuating part of the
+    counting function N(k) - L (k - k_min) / pi taken relative to the
+    window's lower edge.  It is a diagnostic: highly degenerate spectra
+    (the equilateral K5 has multiplicities up to 7) exceed NFL_BOUND
+    while complete.  Only `drop_levels`, which has no winding count,
+    judges completeness by NFL_BOUND.  `levels_below` is the exact number
+    of levels in [0, k_min], the Neumann zero mode included, from the
+    winding at k_min: it anchors the counting function at the bottom of
+    the spectrum.
     """
 
     wavenumbers: np.ndarray
@@ -537,8 +541,6 @@ def _verified_spectrum(
 
     expanded = np.repeat(ks, mults)
     nfl_max = fluctuation_envelope(expanded, (k_lo, k_hi), total_length)
-    # a winding fault makes the spectrum incomplete even where N_fl looks tame
-    complete = status == "ok" and bool(nfl_max <= NFL_BOUND + 1e-12)
 
     return Spectrum(
         wavenumbers=ks,
@@ -546,7 +548,7 @@ def _verified_spectrum(
         window=(k_lo, k_hi),
         total_length=total_length,
         residuals=residuals,
-        complete=complete,
+        complete=status == "ok",
         status=status,
         nfl_max=nfl_max,
         messages=tuple(messages),

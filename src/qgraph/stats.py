@@ -205,9 +205,6 @@ class MissingLevelReport:
     flagged: tuple[tuple[float, float, int], ...]  # (k_start, k_end, Delta N)
     suspect: str | None  # "before" / "after"
     estimated_k: float | None
-    drift_before: float | None
-    drift_after: float | None
-    mean_spacing: float
 
     @property
     def clean(self) -> bool:
@@ -220,25 +217,16 @@ def detect_missing_resonances(before: Spectrum, after: Spectrum) -> MissingLevel
     A switch pair with complete spectra keeps |Delta N| <= 1.  A missing
     level adds a persistent unit step to the shift; the step location is
     estimated from the extremum of the integrated centered shift, and the
-    step sign identifies which spectrum lost the level (the loser also
-    shows the extra N_fl drop, reported as the drift across the step).
+    step sign identifies which spectrum lost the level.
     """
     edges, dn = _shift_steps(before, after)
-    mean_spacing = math.pi / before.total_length
     flagged = tuple(
         (a, b, v)
         for a, b, v in zip(edges[:-1].tolist(), edges[1:].tolist(), dn.tolist())
         if b > a and abs(v) >= 2
     )
     if not flagged:
-        return MissingLevelReport(
-            flagged=(),
-            suspect=None,
-            estimated_k=None,
-            drift_before=None,
-            drift_after=None,
-            mean_spacing=mean_spacing,
-        )
+        return MissingLevelReport(flagged=(), suspect=None, estimated_k=None)
     widths = np.diff(edges)
 
     def mean_shift(seg: slice) -> float:
@@ -254,27 +242,7 @@ def detect_missing_resonances(before: Spectrum, after: Spectrum) -> MissingLevel
     best_k = float(edges[j])
     step = mean_shift(slice(j, None)) - mean_shift(slice(0, j))
     suspect = "after" if step > 0 else "before"
-    drift_b = _nfl_drift(before, best_k)
-    drift_a = _nfl_drift(after, best_k)
-    return MissingLevelReport(
-        flagged=flagged,
-        suspect=suspect,
-        estimated_k=best_k,
-        drift_before=drift_b,
-        drift_after=drift_a,
-        mean_spacing=mean_spacing,
-    )
-
-
-def _nfl_drift(spectrum: Spectrum, split_k: float) -> float:
-    if spectrum.count == 0:
-        return 0.0
-    ks, nfl = fluctuating_count(spectrum)
-    lo = nfl[ks <= split_k]
-    hi = nfl[ks > split_k]
-    if lo.size == 0 or hi.size == 0:
-        return 0.0
-    return float(hi.mean() - lo.mean())
+    return MissingLevelReport(flagged=flagged, suspect=suspect, estimated_k=best_k)
 
 
 # ---------------------------------------------------------------------------

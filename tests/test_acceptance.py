@@ -13,9 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from qgraph.ensemble import run_campaign, sweep_plan
+from qgraph.ensemble import gue_numerics_plan, plan_from_manifest, run_campaign
 from qgraph.graphs import Edge, MetricGraph
-from qgraph.presets import gue_numerics_plan, preset
+from qgraph.presets import preset
 from qgraph.solver import (
     SolverConfig,
     drop_levels,
@@ -67,15 +67,14 @@ def report(criterion: int, detail: str, passed: bool = True) -> None:
 
 @pytest.fixture(scope="module")
 def goe_campaign():
-    specs = [preset("goe_a").sweep, preset("goe_b").sweep]
     t0 = time.time()
-    result = run_campaign(sweep_plan(*specs), workers=WORKERS)
+    result = run_campaign(plan_from_manifest({"presets": ["goe_a", "goe_b"]}), workers=WORKERS)
     return result, time.time() - t0
 
 
 @pytest.fixture(scope="module")
 def gue_sweep_campaign():
-    return run_campaign(sweep_plan(preset("gue").sweep), workers=WORKERS)
+    return run_campaign(plan_from_manifest({"presets": ["gue"]}), workers=WORKERS)
 
 
 @pytest.fixture(scope="module")
@@ -285,11 +284,11 @@ def test_criterion_10_oracle_equivalence():
 def test_criterion_11_campaign_determinism(tmp_path):
     import hashlib
 
-    spec = preset("goe_a").sweep
+    plan = plan_from_manifest({"presets": ["goe_a"]})
     digests = []
     for workers in (1, 2, 8):
         out = tmp_path / f"w{workers}"
-        result = run_campaign(sweep_plan(spec), workers=workers)
+        result = run_campaign(plan, workers=workers)
         qio.emit_campaign_outputs(result, out, manifest={"workers": workers})
         digest = hashlib.sha256()
         for name in ("shift_distribution.csv", "spacings.csv", "spacing_histogram.csv", "interlacing.csv"):

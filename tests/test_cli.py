@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -375,6 +376,8 @@ SWEEP = {"grow_edge": 1, "shrink_edge": 2, "step_delta": 0.005, "step_count": 2,
         ({"presets": []}, "presets"),
         ({"presets": ["gue"], "solver": {"scan_step": 1e-9}}, "['solver']"),
         ({"presets": ["gue"], "label": "run"}, "['label']"),
+        ({"presets": ["goe_a", "gue"]},
+         "presets goe_a, gue have different windows; give window_ghz or window_k"),
     ],
 )
 def test_campaign_refuses_malformed_manifest(tmp_path, monkeypatch, capsys, manifest, named):
@@ -388,6 +391,47 @@ def test_campaign_refuses_malformed_manifest(tmp_path, monkeypatch, capsys, mani
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
     assert "Traceback" not in err and not Path("run").exists()
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"presets": ["goe_a"], "presets": ["gue"]}', "'presets'"),
+        ('{"preset": "gue", "randomized": {"count": 2, "jitter": 0.02, "count": 3}}', "'count'"),
+    ],
+)
+def test_campaign_refuses_repeated_keys(tmp_path, capsys, text, key):
+    # json keeps the last of repeated keys; a manifest that repeats one, at
+    # the top or in a block, is refused instead of running the last
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(text)
+    assert main(["campaign", str(mpath), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"repeats key {key}" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_campaign_refuses_non_positive_workers(tmp_path, capsys, workers):
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps({"presets": ["goe_a"]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["campaign", str(mpath), "--workers", workers, "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_solve_equilateral_k5_is_complete(tmp_path, capsys):
+    # levels of multiplicity up to 7 swing N_fl past NFL_BOUND on a correct
+    # spectrum: the winding count, not N_fl, decides completeness
+    ends = itertools.combinations(range(5), 2)
+    edges = tuple(Edge(i, u, v, 0.3) for i, (u, v) in enumerate(ends, 1))
+    path = tmp_path / "k5.json"
+    save_graph(MetricGraph(vertices=tuple(range(5)), edges=edges), path)
+    assert main(["solve", str(path), "--window-k", "0.5:40", "--out", str(tmp_path / "k5.csv")]) == 0
+    out = capsys.readouterr().out
+    assert "max |N_fl| = 5.52" in out and "status ok" in out
 
 
 def test_campaign_empty_manifest(tmp_path):

@@ -1,47 +1,41 @@
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qgraph import ensemble
 from qgraph.ensemble import (
     CampaignPlan,
-    SweepSpec,
-    generate_configurations,
+    gue_numerics_plan,
     load_manifest,
     plan_from_manifest,
     randomized_ensemble,
     randomized_plan,
     run_campaign,
-    sweep_plan,
 )
-from qgraph.graphs import SwitchDescriptor, save_graph
-from qgraph.presets import gue_numerics_plan, gue_numerics_window, preset
+from qgraph.graphs import SweepSpec, generate_configurations, save_graph
+from qgraph.presets import gue_numerics_window, preset
 from qgraph.solver import SolverConfig
 from qgraph.units import k_from_ghz
 
 from conftest import random_k4
 
 
-def small_window_sweep(name="goe_a", step_count=2):
-    """Sweep spec with a reduced window so tests stay fast."""
-    p = preset(name)
-    return SweepSpec(
-        base=p.sweep.base,
-        grow_edge=p.sweep.grow_edge,
-        shrink_edge=p.sweep.shrink_edge,
-        step_delta=p.sweep.step_delta,
-        step_count=step_count,
-        switch=p.sweep.switch,
-        solver=SolverConfig(k_from_ghz(0.01), k_from_ghz(1.0)),
-        label=name,
-    )
+def small_sweep_plan(names=("goe_a",), step_count=2):
+    """The presets' sweeps, shortened, over a reduced window so tests stay fast."""
+    pairs = []
+    for name in names:
+        p = preset(name)
+        pairs += generate_configurations(p.graph, replace(p.sweep, step_count=step_count))
+    return CampaignPlan(tuple(pairs), SolverConfig(k_from_ghz(0.01), k_from_ghz(1.0)))
 
 
 def test_generate_configurations_goe_a():
-    pairs = generate_configurations(preset("goe_a").sweep)
+    p = preset("goe_a")
+    pairs = generate_configurations(p.graph, p.sweep)
     assert len(pairs) == 11
     lengths = [p[0].edge_by_id(1).length for p in pairs]
     assert lengths == pytest.approx(np.arange(0.697, 0.7475, 0.005).tolist(), abs=1e-12)
@@ -52,12 +46,14 @@ def test_generate_configurations_goe_a():
 
 
 def test_generate_configurations_gue_count():
-    pairs = generate_configurations(preset("gue").sweep)
+    p = preset("gue")
+    pairs = generate_configurations(p.graph, p.sweep)
     assert len(pairs) == 8  # phases 0..42 degrees in 6 degree steps
 
 
 def test_switch_keeps_length_multiset():
-    for before, after in generate_configurations(preset("goe_b").sweep):
+    p = preset("goe_b")
+    for before, after in generate_configurations(p.graph, p.sweep):
         assert sorted(e.length for e in before.edges) == sorted(
             e.length for e in after.edges
         )
@@ -66,25 +62,13 @@ def test_switch_keeps_length_multiset():
 def test_sweep_spec_validation():
     p = preset("goe_a")
     with pytest.raises(ValueError):
-        SweepSpec(
-            base=p.graph,
-            grow_edge=1,
-            shrink_edge=2,
-            step_delta=0.005,
-            step_count=0,
-            switch=p.sweep.switch,
-            solver=p.sweep.solver,
-        ).check()
+        replace(p.sweep, step_count=0).check(p.graph)
     with pytest.raises(ValueError):
-        SweepSpec(
-            base=p.graph,
-            grow_edge=1,
-            shrink_edge=2,
-            step_delta=0.1,
-            step_count=10,  # would drain edge 2
-            switch=p.sweep.switch,
-            solver=p.sweep.solver,
-        ).check()
+        replace(p.sweep, step_delta=0.1).check(p.graph)  # would drain edge 2
+
+
+def test_sweep_spec_is_the_manifest_sweep_block():
+    assert [f.name for f in fields(SweepSpec)] == list(ensemble._FIELDS["sweep"])
 
 
 def test_randomized_ensemble_identity():
@@ -114,7 +98,7 @@ def test_randomized_ensemble_rejects_bad_input():
 
 
 def test_campaign_small_goe():
-    result = run_campaign(sweep_plan(small_window_sweep()), workers=1)
+    result = run_campaign(small_sweep_plan(), workers=1)
     assert len(result.pairs) == 3
     assert not result.degraded
     assert all(d >= 0 for d in result.interlacing_degrees)
@@ -122,7 +106,7 @@ def test_campaign_small_goe():
 
 
 def test_campaign_parallelism_bit_identical():
-    plan = sweep_plan(small_window_sweep())
+    plan = small_sweep_plan()
     r1 = run_campaign(plan, workers=1)
     r2 = run_campaign(plan, workers=2)
     assert r1.interlacing_degrees == r2.interlacing_degrees
@@ -134,16 +118,18 @@ def test_campaign_parallelism_bit_identical():
 
 
 def test_campaign_combined_sweeps_pair_count():
-    specs = [small_window_sweep("goe_a", 1), small_window_sweep("goe_b", 1)]
-    result = run_campaign(sweep_plan(*specs), workers=1)
+    result = run_campaign(small_sweep_plan(("goe_a", "goe_b"), step_count=1), workers=1)
     assert len(result.pairs) == 4
-    mixed = replace(specs[1], solver=preset("goe_b").sweep.solver)
-    with pytest.raises(ValueError):
-        sweep_plan(specs[0], mixed)
+
+
+def test_plan_from_manifest_window_holds_for_every_preset():
+    # presets with different windows run together under the manifest's
+    plan = plan_from_manifest({"presets": ["goe_a", "gue"], "window_ghz": [0.8, 2.5]})
+    assert plan.solver == preset("gue").window and len(plan.pairs) == 19
 
 
 def test_campaign_pooled_shift_is_pair_average():
-    result = run_campaign(sweep_plan(small_window_sweep()), workers=1)
+    result = run_campaign(small_sweep_plan(), workers=1)
     support = result.shift.support
     for m in support:
         mean = np.mean([p.shift.probability(m) for p in result.pairs])
@@ -194,7 +180,8 @@ def test_campaign_sparse_window_degrades_pair(k_max, levels):
 
 
 def test_total_length_constant_across_campaign():
-    plan_pairs = generate_configurations(preset("goe_a").sweep)
+    p = preset("goe_a")
+    plan_pairs = generate_configurations(p.graph, p.sweep)
     totals = {g.total_length for pair in plan_pairs for g in pair}
     assert len(totals) == 1
 
@@ -227,9 +214,10 @@ def test_plan_from_manifest_randomized():
 def test_plan_from_manifest_graph_file_sweep(tmp_path):
     # a graph file with a sweep gives step_count + 1 pairs, the sweep's own,
     # over the graph-file default window of 0.01-2.5 GHz
-    sweep = replace(preset("goe_a").sweep, step_count=3)
+    p = preset("goe_a")
+    sweep = replace(p.sweep, step_count=3)
     gpath = tmp_path / "goe_a.json"
-    save_graph(sweep.base, gpath)
+    save_graph(p.graph, gpath)
     switch = sweep.switch
     manifest = {
         "graph_file": str(gpath),
@@ -246,19 +234,18 @@ def test_plan_from_manifest_graph_file_sweep(tmp_path):
     assert (plan.solver.k_min, plan.solver.k_max) == (k_from_ghz(0.01), k_from_ghz(2.5))
     assert plan.provenance["mode"] == "sweep"
     assert [(b.canonical_edges(), a.canonical_edges()) for b, a in plan.pairs] == [
-        (b.canonical_edges(), a.canonical_edges()) for b, a in generate_configurations(sweep)
+        (b.canonical_edges(), a.canonical_edges())
+        for b, a in generate_configurations(p.graph, sweep)
     ]
 
 
 def test_gue_numerics_plan_matches_manifest():
+    # the manifest route gives the plan of the jittered gue preset itself
     plan = gue_numerics_plan(count=6, seed=5)
-    manifest = {
-        "preset": "gue",
-        "randomized": {"count": 6, "jitter": 0.02},
-        "seed": 5,
-        "window_k": list(gue_numerics_window()),
-    }
-    again = plan_from_manifest(manifest)
+    p = preset("gue")
+    again = randomized_plan(
+        p.graph, p.sweep.switch, SolverConfig(*gue_numerics_window()), 6, 0.02, 5, "gue"
+    )
     assert [(b.canonical_edges(), a.canonical_edges()) for b, a in plan.pairs] == [
         (b.canonical_edges(), a.canonical_edges()) for b, a in again.pairs
     ]

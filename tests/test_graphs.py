@@ -189,34 +189,40 @@ def test_graph_from_dict_rejects_bad_version():
         graph_from_dict({"version": 99, "vertices": [], "edges": []})
 
 
-def test_preset_goe_a_numbers():
-    p = preset("goe_a")
-    g = p.graph
-    assert g.total_length == pytest.approx(2.248, abs=1e-12)
-    assert g.edge_by_id(1).length == 0.697
-    assert g.edge_by_id(2).length == 0.612
-    assert g.edge_by_id(3).length == 0.170
-    assert g.edge_by_id(5).length == 0.243
-    assert p.sweep.step_count == 10
-    assert p.sweep.step_delta == 0.005
-    assert p.sweep.switch == SwitchDescriptor(pivot=0, edge_a=3, edge_b=5)
+# each preset's edges (id, u, v, length, phase), sweep (grow, shrink, step,
+# count), switch (pivot, edge_a, edge_b) and window (k_min, k_max), bit for bit
+PINNED_PRESETS = {
+    "goe_a": (
+        [(1, 0, 3, 0.697, 0.0), (2, 1, 2, 0.612, 0.0), (3, 0, 1, 0.17, 0.0),
+         (4, 3, 1, 0.3250858780824449, 0.0), (5, 2, 0, 0.243, 0.0),
+         (6, 2, 3, 0.20091412191755537, 0.0)],
+        (1, 2, 0.005, 10), (0, 3, 5), (0.2095845021951682, 52.39612554879204),
+    ),
+    "goe_b": (
+        [(1, 0, 3, 0.697, 0.0), (2, 1, 2, 0.327, 0.0), (3, 0, 1, 0.17, 0.0),
+         (4, 3, 1, 0.27317102302745366, 0.0), (5, 2, 0, 0.1688289769725465, 0.0),
+         (6, 2, 3, 0.612, 0.0)],
+        (1, 6, 0.005, 10), (1, 3, 2), (0.2095845021951682, 52.39612554879204),
+    ),
+    "gue": (
+        [(1, 0, 3, 0.697, 2.0), (2, 1, 2, 0.327, 2.0), (3, 0, 1, 0.17, 2.0),
+         (4, 3, 1, 0.6872537954898832, 2.0), (5, 2, 0, 0.4247462045101169, 2.0),
+         (6, 2, 3, 0.612, 2.0)],
+        (1, 6, 0.005, 7), (1, 3, 2), (16.766760175613452, 52.39612554879204),
+    ),
+}
 
 
-def test_preset_goe_b_numbers():
-    p = preset("goe_b")
-    assert p.graph.total_length == pytest.approx(2.248, abs=1e-12)
-    assert p.graph.edge_by_id(2).length == 0.327
-    assert p.graph.edge_by_id(3).length == 0.170
-    assert p.sweep.switch.pivot == 1
-
-
-def test_preset_gue_numbers():
-    p = preset("gue")
-    assert p.graph.total_length == pytest.approx(2.918, abs=1e-12)
-    assert p.graph.edge_by_id(2).length == 0.327
-    assert p.graph.edge_by_id(3).length == 0.170
-    assert p.sweep.step_count == 7
-    assert all(e.phase_per_m != 0.0 for e in p.graph.edges)
+@pytest.mark.parametrize("name", sorted(PINNED_PRESETS))
+def test_preset_pinned(name):
+    edges, sweep, switch, window = PINNED_PRESETS[name]
+    p = preset(name)
+    assert [(e.id, e.u, e.v, e.length, e.phase_per_m) for e in p.graph.edges] == edges
+    s = p.sweep
+    assert (s.grow_edge, s.shrink_edge, s.step_delta, s.step_count) == sweep
+    assert (s.switch.pivot, s.switch.edge_a, s.switch.edge_b) == switch
+    assert (p.window.k_min, p.window.k_max) == window
+    assert p.graph.metadata == {"preset": name}
 
 
 def test_preset_unknown_name():

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qgraph import io as qio
-from qgraph.ensemble import run_campaign, sweep_plan
+from qgraph.ensemble import CampaignPlan, run_campaign
+from qgraph.graphs import generate_configurations
 from qgraph.solver import SolverConfig, solve_spectrum
 from qgraph.presets import preset
 from qgraph.stats import (
@@ -113,20 +116,10 @@ def test_header_mismatch_rejected(tmp_path):
 
 
 def test_emit_campaign_outputs(tmp_path):
-    from qgraph.ensemble import SweepSpec
-
     p = preset("goe_a")
-    spec = SweepSpec(
-        base=p.sweep.base,
-        grow_edge=1,
-        shrink_edge=2,
-        step_delta=0.005,
-        step_count=1,
-        switch=p.sweep.switch,
-        solver=SolverConfig(k_from_ghz(0.01), k_from_ghz(1.0)),
-        label="tiny",
-    )
-    result = run_campaign(sweep_plan(spec), workers=1)
+    pairs = generate_configurations(p.graph, replace(p.sweep, step_count=1))
+    plan = CampaignPlan(tuple(pairs), SolverConfig(k_from_ghz(0.01), k_from_ghz(1.0)))
+    result = run_campaign(plan, workers=1)
     paths = qio.emit_campaign_outputs(result, tmp_path, manifest={"presets": ["goe_a"]})
     names = {p.split("/")[-1] for p in paths}
     assert "shift_distribution.csv" in names

@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qgraph import kernels, solver
 from qgraph.graphs import Edge, MetricGraph, SwitchDescriptor, edge_switch, negate_phases
-from qgraph.presets import gue_numerics_plan, preset
+from qgraph.ensemble import gue_numerics_plan
+from qgraph.presets import preset
 from qgraph.solver import (
     RESIDUAL_THRESHOLD,
     ROOT_TOLERANCE,
@@ -107,8 +108,8 @@ def test_window_edges_within_a_tolerance_of_levels(name):
     # level on the same side of the edge, so both solves are "ok" and
     # split the levels between them
     p = preset(name)
-    ref = solve_spectrum(p.graph, p.sweep.solver)
-    cfg = replace(p.sweep.solver, k_max=float(ref.wavenumbers[8:10].mean()))
+    ref = solve_spectrum(p.graph, p.window)
+    cfg = replace(p.window, k_max=float(ref.wavenumbers[8:10].mean()))
     want = ref.expanded()[ref.expanded() <= cfg.k_max]
     for k in ref.wavenumbers[:8]:
         for offset in (0.0, 0.25, -0.25, 0.5, -0.5, 0.9, -0.9):
@@ -218,7 +219,7 @@ def test_verification_catches_search_faults(monkeypatch, fault, status):
 
     monkeypatch.setattr(solver, "_isolate_roots", faulty)
     p = preset("gue")
-    spec = solve_spectrum(p.graph, p.sweep.solver)
+    spec = solve_spectrum(p.graph, p.window)
     assert spec.status == status and not spec.complete
 
 
@@ -507,7 +508,7 @@ def test_residuals_match_secular_residual(name):
     # the residual from the nearest eigenphase is the smallest singular
     # value of I - U that the SVD reference computes
     if name in ("gue", "goe_a"):
-        graph, cfg = preset(name).graph, preset(name).sweep.solver
+        graph, cfg = preset(name).graph, preset(name).window
     else:
         graph = loop_graph() if name == "loop" else three_star()
         cfg = SolverConfig(0.1, 20.0)
