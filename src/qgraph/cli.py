@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 degraded results, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +18,7 @@ from .graphs import SwitchDescriptor, edge_switch, load_graph, save_graph, valid
 from .presets import preset, preset_names
 from .solver import SolverConfig, drop_levels, solve_spectra, solve_spectrum
 from .stats import (
+    XI_MAX,
     detect_missing_resonances,
     fit_xi,
     interlacing_degree,
@@ -152,12 +154,15 @@ def cmd_fit_xi(args) -> CommandOutcome:
         centers, density = spacing_histogram(sample)
         qio.write_histogram_csv(args.out, centers, density, result.xi)
         paths = (str(args.out),)
-    return CommandOutcome(
-        0,
-        f"xi = {result.xi:.4f} +/- {result.xi_uncertainty:.4f} "
-        f"(rss/dof = {result.goodness:.3e}, n = {sample.spacings.size})",
-        paths,
-    )
+    fit = f"(rss/dof = {result.goodness:.3e}, n = {sample.spacings.size})"
+    if math.isfinite(result.xi_uncertainty) and result.xi_uncertainty <= XI_MAX:
+        summary = f"xi = {result.xi:.4f} +/- {result.xi_uncertainty:.4f} {fit}"
+    else:
+        summary = (
+            f"the sample does not identify xi: the fit gives xi = {result.xi:.4f} "
+            f"+/- {result.xi_uncertainty:.4g} on [0, XI_MAX = {XI_MAX:g}] {fit}"
+        )
+    return CommandOutcome(0, summary, paths)
 
 
 def cmd_preset(args) -> CommandOutcome:

@@ -1,15 +1,19 @@
 """CSV emission and parsing for spectra, statistics, and campaign output.
 
-Floats are written with repr (shortest exact round trip) and a fixed
-column order with '.' decimals, so files re-parse losslessly and are
-locale independent.
+One writer writes every table from whole columns: a header line, then a row per
+entry with cells joined by ',', no quoting and CRLF line ends; floats in repr
+(shortest exact round trip, '.' decimals) and ints in plain decimal, so files
+re-parse losslessly and are locale independent.  One reader parses every table
+and also accepts LF line ends and no final newline; a row with a cell count other
+than the header's, or a cell that does not parse (a quoted one included), is a
+ValueError naming the file and line.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -44,62 +48,76 @@ __all__ = [
 ]
 
 
-def _write_rows(path, header: list[str], rows) -> None:
+def _write_table(path, header: list[str], columns) -> None:
+    """Write `header`, then one row per entry of `columns`, lists of Python floats and ints
+    streamed with no per-cell Python code (repr of a numpy float reads `np.float64(...)`)."""
+    row = ",".join(["{!r}"] * len(header)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(map(row.format, *columns))
 
 
-def _read_rows(path, expected_header: list[str]) -> list[list[str]]:
+def _columns(types, columns) -> list[np.ndarray]:
+    return [
+        np.fromiter(map(t, col), np.int64 if t is int else float, len(col))
+        for t, col in zip(types, columns)
+    ]
+
+
+def _read_table(path, header: list[str], types) -> list[np.ndarray]:
+    """The columns under `header` as int64 or float64 arrays, column j parsed by types[j]."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != expected_header:
-            raise ValueError(f"unexpected header in {path}: {header}")
-        return [row for row in reader]
+        lines = fh.read().splitlines()
+    if not lines or lines[0].split(",") != header:
+        raise ValueError(f"unexpected header in {path}: {lines[:1]}")
+    width = len(header)
+    if set(map(str.count, lines, repeat(","))) != {width - 1}:
+        counts = map(str.count, lines, repeat(","))
+        n, c = next((n, c) for n, c in enumerate(counts, 1) if c != width - 1)
+        raise ValueError(f"{path}, line {n}: expected {width} cells, got {c + 1}")
+    cells = ",".join(lines).split(",")  # one split for the whole table
+    del lines
+    columns = [cells[j::width] for j in range(width, 2 * width)]  # the header leads
+    del cells
+    try:
+        return _columns(types, columns)
+    except (ValueError, OverflowError):  # find the first bad cell, row by row
+        for n, row in enumerate(zip(*columns), 2):
+            try:
+                _columns(types, [[x] for x in row])
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}, line {n}: {exc}") from None
+        raise
 
 
 SPECTRUM_HEADER = ["index", "k_rad_per_m", "freq_GHz", "multiplicity", "residual"]
 
 
 def write_spectrum_csv(spectrum: Spectrum, path) -> None:
-    rows = [
-        (i + 1, float(k), ghz_from_k(float(k)), int(m), float(r))
-        for i, (k, m, r) in enumerate(
-            zip(spectrum.wavenumbers, spectrum.multiplicities, spectrum.residuals)
-        )
-    ]
-    _write_rows(path, SPECTRUM_HEADER, rows)
+    ks = spectrum.wavenumbers
+    columns = (range(1, ks.size + 1), ks.tolist(), ghz_from_k(ks).tolist())
+    columns += (spectrum.multiplicities.tolist(), spectrum.residuals.tolist())
+    _write_table(path, SPECTRUM_HEADER, columns)
 
 
 def read_spectrum_csv(path) -> dict[str, np.ndarray]:
-    rows = _read_rows(path, SPECTRUM_HEADER)
-    return {
-        "index": np.array([int(r[0]) for r in rows]),
-        "k_rad_per_m": np.array([float(r[1]) for r in rows]),
-        "freq_GHz": np.array([float(r[2]) for r in rows]),
-        "multiplicity": np.array([int(r[3]) for r in rows]),
-        "residual": np.array([float(r[4]) for r in rows]),
-    }
+    types = (int, float, float, int, float)
+    return dict(zip(SPECTRUM_HEADER, _read_table(path, SPECTRUM_HEADER, types)))
 
 
 SHIFT_HEADER = ["delta_n", "probability", "std_error"]
 
 
 def write_shift_csv(shift: ShiftDistribution, path) -> None:
-    errors = shift.std_errors or {}
-    rows = [
-        (m, float(shift.probabilities[m]), float(errors.get(m, 0.0)))
-        for m in sorted(shift.probabilities)
-    ]
-    _write_rows(path, SHIFT_HEADER, rows)
+    ms, errors = sorted(shift.probabilities), shift.std_errors or {}
+    columns = ([int(m) for m in ms], [float(shift.probabilities[m]) for m in ms])
+    columns += ([float(errors.get(m, 0.0)) for m in ms],)
+    _write_table(path, SHIFT_HEADER, columns)
 
 
 def read_shift_csv(path) -> dict[int, tuple[float, float]]:
-    rows = _read_rows(path, SHIFT_HEADER)
-    return {int(r[0]): (float(r[1]), float(r[2])) for r in rows}
+    ms, probs, errors = (c.tolist() for c in _read_table(path, SHIFT_HEADER, (int, float, float)))
+    return dict(zip(ms, zip(probs, errors)))
 
 
 HISTOGRAM_HEADER = [
@@ -111,53 +129,39 @@ HISTOGRAM_HEADER = [
 ]
 
 
-def write_histogram_csv(
-    path, centers: np.ndarray, density: np.ndarray, xi: float
-) -> None:
-    goe = np.asarray(wigner_pdf(centers, "GOE"))
-    gue = np.asarray(wigner_pdf(centers, "GUE"))
-    tra = np.asarray(transition_pdf(centers, xi))
-    rows = [
-        (float(c), float(d), float(g1), float(g2), float(t))
-        for c, d, g1, g2, t in zip(centers, density, goe, gue, tra)
-    ]
-    _write_rows(path, HISTOGRAM_HEADER, rows)
+def write_histogram_csv(path, centers: np.ndarray, density: np.ndarray, xi: float) -> None:
+    overlays = (wigner_pdf(centers, "GOE"), wigner_pdf(centers, "GUE"), transition_pdf(centers, xi))
+    columns = [np.asarray(c, dtype=float).tolist() for c in (centers, density, *overlays)]
+    _write_table(path, HISTOGRAM_HEADER, columns)
 
 
 def read_histogram_csv(path) -> dict[str, np.ndarray]:
-    rows = _read_rows(path, HISTOGRAM_HEADER)
-    cols = list(zip(*rows)) if rows else [[]] * 5
-    return {
-        name: np.array([float(x) for x in col])
-        for name, col in zip(HISTOGRAM_HEADER, cols)
-    }
+    return dict(zip(HISTOGRAM_HEADER, _read_table(path, HISTOGRAM_HEADER, [float] * 5)))
 
 
 INTERLACING_HEADER = ["pair_id", "degree", "violations"]
 
 
 def write_interlacing_csv(path, rows: list[tuple[int, int, int]]) -> None:
-    _write_rows(path, INTERLACING_HEADER, rows)
+    columns = [[int(x) for x in col] for col in zip(*rows)] or [[]] * 3
+    _write_table(path, INTERLACING_HEADER, columns)
 
 
 def read_interlacing_csv(path) -> list[tuple[int, int, int]]:
-    rows = _read_rows(path, INTERLACING_HEADER)
-    return [(int(r[0]), int(r[1]), int(r[2])) for r in rows]
+    return list(zip(*(c.tolist() for c in _read_table(path, INTERLACING_HEADER, (int,) * 3))))
 
 
 SPACINGS_HEADER = ["index", "s"]
 
 
 def write_spacings_csv(sample: SpacingSample, path) -> None:
-    rows = [(i + 1, float(s)) for i, s in enumerate(sample.spacings)]
-    _write_rows(path, SPACINGS_HEADER, rows)
+    s = sample.spacings
+    _write_table(path, SPACINGS_HEADER, (range(1, s.size + 1), s.tolist()))
 
 
 def read_spacings_csv(path) -> SpacingSample:
-    rows = _read_rows(path, SPACINGS_HEADER)
-    return SpacingSample(
-        spacings=np.array([float(r[1]) for r in rows]), source=str(path)
-    )
+    _, s = _read_table(path, SPACINGS_HEADER, (int, float))
+    return SpacingSample(spacings=s, source=str(path))
 
 
 COUNTING_HEADER = ["k_rad_per_m", "freq_GHz", "n_before", "n_after"]
@@ -172,17 +176,12 @@ def write_counting_csv(path, before: Spectrum, after: Spectrum) -> None:
     spectral shift does."""
     nb, na = CountingFunction(before), CountingFunction(after)
     ks = np.unique(np.concatenate([[before.window[0]], nb.levels, na.levels, [before.window[1]]]))
-    rows = zip(ks.tolist(), ghz_from_k(ks).tolist(), nb(ks).tolist(), na(ks).tolist())
-    _write_rows(path, COUNTING_HEADER, rows)
+    columns = (ks.tolist(), ghz_from_k(ks).tolist(), nb(ks).tolist(), na(ks).tolist())
+    _write_table(path, COUNTING_HEADER, columns)
 
 
 def read_counting_csv(path) -> dict[str, np.ndarray]:
-    rows = _read_rows(path, COUNTING_HEADER)
-    cols = list(zip(*rows)) if rows else [[]] * 4
-    return {
-        name: np.array([float(x) for x in col])
-        for name, col in zip(COUNTING_HEADER, cols)
-    }
+    return dict(zip(COUNTING_HEADER, _read_table(path, COUNTING_HEADER, [float] * 4)))
 
 
 # ---------------------------------------------------------------------------

@@ -220,14 +220,11 @@ def detect_missing_resonances(before: Spectrum, after: Spectrum) -> MissingLevel
     step sign identifies which spectrum lost the level.
     """
     edges, dn = _shift_steps(before, after)
-    flagged = tuple(
-        (a, b, v)
-        for a, b, v in zip(edges[:-1].tolist(), edges[1:].tolist(), dn.tolist())
-        if b > a and abs(v) >= 2
-    )
-    if not flagged:
-        return MissingLevelReport(flagged=(), suspect=None, estimated_k=None)
     widths = np.diff(edges)
+    bad = (widths > 0.0) & (np.abs(dn) >= 2)
+    if not bad.any():
+        return MissingLevelReport(flagged=(), suspect=None, estimated_k=None)
+    flagged = tuple(zip(edges[:-1][bad].tolist(), edges[1:][bad].tolist(), dn[bad].tolist()))
 
     def mean_shift(seg: slice) -> float:
         # np.cumsum adds in segment order, unlike np.sum's pairwise order

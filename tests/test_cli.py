@@ -11,6 +11,7 @@ import pytest
 
 import qgraph
 from qgraph.cli import main
+from qgraph.ensemble import gue_numerics_plan, run_campaign
 from qgraph.graphs import Edge, MetricGraph, save_graph
 from qgraph.presets import preset
 from qgraph.stats import SpacingSample, sample_transition
@@ -445,8 +446,55 @@ def test_fit_xi_roundtrip(tmp_path, rng, capsys):
     spath = tmp_path / "spacings.csv"
     qio.write_spacings_csv(sample, spath)
     assert main(["fit-xi", str(spath), "--out", str(tmp_path / "overlay.csv")]) == 0
-    assert "xi = " in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith("xi = ")
     assert (tmp_path / "overlay.csv").exists()
+
+
+def test_fit_xi_says_when_the_sample_does_not_identify_xi(tmp_path, capsys):
+    # the objective is flat toward the GUE end on this campaign's 1765
+    # spacings: the fit ends at XI_MAX with an uncertainty near 4e7
+    result = run_campaign(gue_numerics_plan(count=6, seed=1), workers=1)
+    spath = tmp_path / "spacings.csv"
+    qio.write_spacings_csv(result.spacings, spath)
+    assert main(["fit-xi", str(spath), "--out", str(tmp_path / "overlay.csv")]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("the sample does not identify xi: the fit gives xi = 100.0000 +/- ")
+    assert "XI_MAX = 100" in out and "n = 1765" in out
+    assert qio.read_histogram_csv(tmp_path / "overlay.csv")["s_bin_center"].size > 0
+
+
+@pytest.mark.parametrize(
+    "append, line",
+    [
+        ("\r\n301,0.5\r\n", 302),
+        ("301\r\n", 302),
+        ("301,0.5,9\r\n", 302),
+        ('301,"0.5"\r\n', 302),
+        (f"{2**63},0.5\r\n", 302),
+    ],
+    ids=["blank", "short", "extra", "quoted", "index-past-int64"],
+)
+def test_fit_xi_refuses_malformed_rows(tmp_path, rng, capsys, append, line):
+    sample = SpacingSample(np.sort(sample_transition(1.0, 300, rng)))
+    spath = tmp_path / "spacings.csv"
+    qio.write_spacings_csv(sample, spath)
+    with open(spath, "a", newline="", encoding="utf-8") as fh:
+        fh.write(append)
+    assert main(["fit-xi", str(spath)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {spath}, line {line}: ")
+
+
+def test_fit_xi_reads_lf_files(tmp_path, rng, capsys):
+    # users hand fit-xi their own files: LF line ends and no final newline
+    sample = SpacingSample(np.sort(sample_transition(1.0, 2000, rng)))
+    crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
+    qio.write_spacings_csv(sample, crlf)
+    lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n").rstrip(b"\n"))
+    outputs = []
+    for path in (crlf, lf):
+        assert main(["fit-xi", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].startswith("xi = ") and outputs[0] == outputs[1]
 
 
 def test_fit_xi_too_few_rows(tmp_path, rng):

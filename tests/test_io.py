@@ -1,12 +1,15 @@
+import csv
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qgraph import io as qio
 from qgraph.ensemble import CampaignPlan, run_campaign
 from qgraph.graphs import generate_configurations
-from qgraph.solver import SolverConfig, solve_spectrum
+from qgraph.solver import SolverConfig, Spectrum, solve_spectrum
 from qgraph.presets import preset
 from qgraph.stats import (
     SpacingSample,
@@ -106,6 +109,104 @@ def test_counting_csv_matches_shift_steps(tmp_path):
     assert list(ks) == [0.1, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]
     assert list(back["n_before"]) == [0, 1, 1, 2, 2, 3, 3]
     assert list(back["n_after"]) == [0, 0, 2, 2, 3, 3, 4]
+
+
+def _csv_module_table(path, header, rows):
+    """The csv.writer emission the table writer replaced, kept as the
+    reference for the byte format: repr floats, plain ints, CRLF, and
+    quoting only where a cell needs it (none of these cells do)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+
+
+def _bare_spectrum(ks, mults, residuals) -> Spectrum:
+    return Spectrum(
+        wavenumbers=np.array(ks, dtype=float),
+        multiplicities=np.array(mults, dtype=np.int64),
+        window=(0.0, 1.0),
+        total_length=1.0,
+        residuals=np.array(residuals, dtype=float),
+        complete=True,
+        status="ok",
+        nfl_max=0.0,
+    )
+
+
+EDGE_CELLS = [0.0, -0.0, 5e-324, 1e-5, 1e16, 0.1 + 0.2, math.inf, -math.inf, math.nan]
+TABLES = st.integers(1, 6).flatmap(
+    lambda width: st.tuples(
+        st.just(width),
+        st.lists(
+            st.lists(
+                st.one_of(st.floats(), st.integers(-(2**80), 2**80)),
+                min_size=width,
+                max_size=width,
+            ),
+            max_size=12,
+        ),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(table=TABLES)
+@example(table=(len(EDGE_CELLS) + 2, [EDGE_CELLS + [2**70, -(2**64)]]))
+@example(table=(3, []))
+def test_table_writer_matches_csv_module(tmp_path_factory, table):
+    width, rows = table
+    header = [f"c{j}" for j in range(width)]
+    out = tmp_path_factory.mktemp("table")
+    qio._write_table(out / "new.csv", header, list(zip(*rows)) or [()] * width)
+    _csv_module_table(out / "ref.csv", header, rows)
+    assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+FINITE_K = st.floats(-1e290, 1e290)  # C k / 2 pi overflows past about 1e300
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    columns=st.integers(0, 8).flatmap(
+        lambda n: st.tuples(
+            st.lists(FINITE_K | st.sampled_from(EDGE_CELLS), min_size=n, max_size=n),
+            st.lists(st.integers(1, 2**62), min_size=n, max_size=n),
+            st.lists(st.floats(), min_size=n, max_size=n),
+        )
+    )
+)
+@example(columns=(EDGE_CELLS, [1, 2**62, 3, 1, 1, 7, 1, 2, 1], EDGE_CELLS[::-1]))
+def test_spectrum_writer_matches_csv_module(tmp_path_factory, columns):
+    # numpy-array columns through the public writer, against the row-by-row
+    # conversion the writer replaced
+    spectrum = _bare_spectrum(*columns)
+    rows = [
+        (i + 1, float(k), ghz_from_k(float(k)), int(m), float(r))
+        for i, (k, m, r) in enumerate(
+            zip(spectrum.wavenumbers, spectrum.multiplicities, spectrum.residuals)
+        )
+    ]
+    out = tmp_path_factory.mktemp("spectrum")
+    qio.write_spectrum_csv(spectrum, out / "new.csv")
+    _csv_module_table(out / "ref.csv", qio.SPECTRUM_HEADER, rows)
+    assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+def test_header_only_spectrum_reads_typed_columns(tmp_path):
+    path = tmp_path / "empty.csv"
+    qio.write_spectrum_csv(_bare_spectrum([], [], []), path)
+    assert path.read_bytes() == b"index,k_rad_per_m,freq_GHz,multiplicity,residual\r\n"
+    back = qio.read_spectrum_csv(path)
+    assert {name: col.dtype for name, col in back.items()} == {
+        "index": np.int64,
+        "k_rad_per_m": np.float64,
+        "freq_GHz": np.float64,
+        "multiplicity": np.int64,
+        "residual": np.float64,
+    }
+    assert all(col.size == 0 for col in back.values())
 
 
 def test_header_mismatch_rejected(tmp_path):
