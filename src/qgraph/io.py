@@ -57,37 +57,41 @@ def _write_table(path, header: list[str], columns) -> None:
         fh.writelines(map(row.format, *columns))
 
 
-def _columns(types, columns) -> list[np.ndarray]:
-    return [
-        np.fromiter(map(t, col), np.int64 if t is int else float, len(col))
-        for t, col in zip(types, columns)
-    ]
+_DTYPES = {int: np.int64, float: np.float64}
+_BLOCK_CHARS = 1 << 14  # text parsed at a time; bounds the cell strings alive at once
 
 
-def _read_table(path, header: list[str], types) -> list[np.ndarray]:
-    """The columns under `header` as int64 or float64 arrays, column j parsed by types[j]."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].split(",") != header:
-        raise ValueError(f"unexpected header in {path}: {lines[:1]}")
-    width = len(header)
-    if set(map(str.count, lines, repeat(","))) != {width - 1}:
-        counts = map(str.count, lines, repeat(","))
-        n, c = next((n, c) for n, c in enumerate(counts, 1) if c != width - 1)
-        raise ValueError(f"{path}, line {n}: expected {width} cells, got {c + 1}")
-    cells = ",".join(lines).split(",")  # one split for the whole table
-    del lines
-    columns = [cells[j::width] for j in range(width, 2 * width)]  # the header leads
-    del cells
+def _columns(path, first: int, types, columns) -> list[np.ndarray]:
+    """`columns` of cells as int64 or float64 arrays, column j parsed by types[j]; a
+    cell that does not parse is a ValueError naming `path` and its line, rows from `first`."""
     try:
-        return _columns(types, columns)
+        return [np.fromiter(map(t, col), _DTYPES[t], len(col)) for t, col in zip(types, columns)]
     except (ValueError, OverflowError):  # find the first bad cell, row by row
-        for n, row in enumerate(zip(*columns), 2):
+        for n, row in enumerate(zip(*columns), first):
             try:
-                _columns(types, [[x] for x in row])
+                [_DTYPES[t](t(x)) for t, x in zip(types, row)]
             except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}, line {n}: {exc}") from None
         raise
+
+
+def _read_table(path, header: list[str], types) -> list[np.ndarray]:
+    """The columns under `header`, parsed a block of rows at a time, so the memory
+    a read touches stays the same however long the file is."""
+    width, n = len(header), 2  # n: the line number of the block's first row
+    blocks = [_columns(path, n, types, [[]] * width)]
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        first = fh.readline().rstrip("\r\n")
+        if first.split(",") != header:
+            raise ValueError(f"unexpected header in {path}: {first!r}")
+        while lines := "".join(fh.readlines(_BLOCK_CHARS)).splitlines():
+            if set(counts := list(map(str.count, lines, repeat(",")))) != {width - 1}:
+                i, c = next((i, c) for i, c in enumerate(counts) if c != width - 1)
+                raise ValueError(f"{path}, line {n + i}: expected {width} cells, got {c + 1}")
+            cells = ",".join(lines).split(",")  # one split for the whole block
+            blocks.append(_columns(path, n, types, [cells[j::width] for j in range(width)]))
+            n += len(lines)
+    return [np.concatenate(col) for col in zip(*blocks)]
 
 
 SPECTRUM_HEADER = ["index", "k_rad_per_m", "freq_GHz", "multiplicity", "residual"]
@@ -121,11 +125,7 @@ def read_shift_csv(path) -> dict[int, tuple[float, float]]:
 
 
 HISTOGRAM_HEADER = [
-    "s_bin_center",
-    "density_empirical",
-    "density_goe",
-    "density_gue",
-    "density_transition",
+    "s_bin_center", "density_empirical", "density_goe", "density_gue", "density_transition"
 ]
 
 

@@ -484,6 +484,18 @@ def test_fit_xi_refuses_malformed_rows(tmp_path, rng, capsys, append, line):
     assert capsys.readouterr().err.startswith(f"error: {spath}, line {line}: ")
 
 
+def test_fit_xi_names_the_line_of_a_malformed_row_past_the_first_block(tmp_path, rng, capsys):
+    # the reader parses a long file block by block; line numbers run on across blocks
+    sample = SpacingSample(np.sort(sample_transition(1.0, 3000, rng)))
+    spath = tmp_path / "spacings.csv"
+    qio.write_spacings_csv(sample, spath)
+    assert spath.stat().st_size > 3 * qio._BLOCK_CHARS
+    with open(spath, "a", newline="", encoding="utf-8") as fh:
+        fh.write("3001,0.5\r\n3002,x\r\n")
+    assert main(["fit-xi", str(spath)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {spath}, line 3003: ")
+
+
 def test_fit_xi_reads_lf_files(tmp_path, rng, capsys):
     # users hand fit-xi their own files: LF line ends and no final newline
     sample = SpacingSample(np.sort(sample_transition(1.0, 2000, rng)))

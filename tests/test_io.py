@@ -72,12 +72,14 @@ def test_interlacing_csv_roundtrip(tmp_path):
     assert qio.read_interlacing_csv(path) == rows
 
 
-def test_spacings_csv_roundtrip(tmp_path, spectrum):
-    sample = unfold_spacings(spectrum)
-    path = tmp_path / "spacings.csv"
-    qio.write_spacings_csv(sample, path)
-    back = qio.read_spacings_csv(path)
-    assert np.array_equal(back.spacings, sample.spacings)
+def test_spacings_csv_roundtrip(tmp_path, spectrum, rng):
+    # the long sample spans several of the reader's blocks
+    for sample in (unfold_spacings(spectrum), SpacingSample(rng.exponential(size=5000))):
+        path = tmp_path / "spacings.csv"
+        qio.write_spacings_csv(sample, path)
+        back = qio.read_spacings_csv(path)
+        assert np.array_equal(back.spacings, sample.spacings)
+    assert path.stat().st_size > 4 * qio._BLOCK_CHARS
 
 
 def test_counting_csv_roundtrip(tmp_path, spectrum):
