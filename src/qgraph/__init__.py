@@ -21,12 +21,8 @@ from .graphs import (
 from .solver import (
     SolverConfig,
     Spectrum,
-    bond_matrix,
     drop_levels,
-    fd_oracle_spectrum,
-    secular_residual,
     solve_spectrum,
-    spectrum_under_phase_reversal,
 )
 from .stats import (
     ShiftDistribution,
@@ -34,7 +30,6 @@ from .stats import (
     TransitionFitResult,
     detect_missing_resonances,
     fit_xi,
-    fluctuating_count,
     interlacing_degree,
     ks_distance,
     shift_distribution,
@@ -47,7 +42,6 @@ from .ensemble import (
     CampaignPlan,
     CampaignResult,
     plan_from_manifest,
-    randomized_ensemble,
     run_campaign,
 )
 from .presets import preset, preset_names

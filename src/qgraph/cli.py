@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 degraded results, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -155,7 +154,7 @@ def cmd_fit_xi(args) -> CommandOutcome:
         qio.write_histogram_csv(args.out, centers, density, result.xi)
         paths = (str(args.out),)
     fit = f"(rss/dof = {result.goodness:.3e}, n = {sample.spacings.size})"
-    if math.isfinite(result.xi_uncertainty) and result.xi_uncertainty <= XI_MAX:
+    if result.identified:
         summary = f"xi = {result.xi:.4f} +/- {result.xi_uncertainty:.4f} {fit}"
     else:
         summary = (

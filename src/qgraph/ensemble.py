@@ -24,6 +24,7 @@ from .graphs import (
     SwitchDescriptor,
     edge_switch,
     generate_configurations,
+    json_value,
     load_graph,
     pin_total_length,
 )
@@ -282,7 +283,6 @@ _FIELDS = {
     "sweep": {"grow_edge": int, "shrink_edge": int, "step_delta": float, "step_count": int,
               "switch": None},
 }
-_KINDS = {str: "a string", float: "a number", int: "a whole number"}
 
 
 def _check_keys(what: str, keys, fields) -> None:
@@ -295,19 +295,6 @@ def _check_keys(what: str, keys, fields) -> None:
         ))
 
 
-def _value(value, name: str, kind):
-    """A JSON string or number as `kind`; int also needs a whole number."""
-    if kind is str:
-        ok = isinstance(value, str)
-    else:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and (
-            kind is float or isinstance(value, int) or value.is_integer()
-        )
-    if not ok:
-        raise ValueError(f"{name} must be {_KINDS[kind]}, got {value!r}")
-    return kind(value)
-
-
 def _block(value, name: str) -> dict:
     """A nested block with exactly its fields, each read as its kind."""
     fields = _FIELDS[name]
@@ -315,7 +302,7 @@ def _block(value, name: str) -> dict:
         raise ValueError(f"{name} must be an object with keys {sorted(fields)}")
     _check_keys(name, value, fields)
     return {
-        key: _block(value[key], key) if kind is None else _value(value[key], key, kind)
+        key: _block(value[key], key) if kind is None else json_value(value[key], key, kind)
         for key, kind in fields.items()
     }
 
@@ -331,7 +318,7 @@ def _window(manifest: dict) -> SolverConfig | None:
     if not isinstance(value, list) or len(value) != 2:
         raise ValueError(f"{keys[0]} must be [lo, hi], got {value!r}")
     to_k = k_from_ghz if keys[0] == "window_ghz" else float
-    config = SolverConfig(*(to_k(_value(x, keys[0], float)) for x in value))
+    config = SolverConfig(*(to_k(json_value(x, keys[0], float)) for x in value))
     config.check()
     return config
 
@@ -359,19 +346,19 @@ def plan_from_manifest(manifest: dict) -> CampaignPlan:
     # names the keys that are unexpected or missing
     shape = max(_SHAPES, key=lambda keys: len(keys & set(manifest)))
     _check_keys("manifest does not describe a campaign", set(manifest) - _COMMON_KEYS, shape)
-    seed = _value(manifest.get("seed", 0), "seed", int)
-    _value(manifest.get("out_dir", ""), "out_dir", str)
+    seed = json_value(manifest.get("seed", 0), "seed", int)
+    json_value(manifest.get("out_dir", ""), "out_dir", str)
     window = _window(manifest)
 
     # source: (name, base graph, the preset's sweep or None), and its windows
     if "graph_file" in shape:
-        path = _value(manifest["graph_file"], "graph_file", str)
+        path = json_value(manifest["graph_file"], "graph_file", str)
         sources, windows = [(path, load_graph(path), None)], {GOE_WINDOW}
     else:
         names = manifest["presets"] if "presets" in shape else [manifest["preset"]]
         if not isinstance(names, list) or not names:
             raise ValueError(f"presets must be a non-empty list, got {names!r}")
-        presets = [preset(_value(name, "preset", str)) for name in names]
+        presets = [preset(json_value(name, "preset", str)) for name in names]
         sources = [(p.name, p.graph, p.sweep) for p in presets]
         windows = {p.window for p in presets}
     if window is None:

@@ -346,24 +346,53 @@ def graph_to_dict(graph: MetricGraph) -> dict:
     }
 
 
-def graph_from_dict(data: dict) -> MetricGraph:
-    if data.get("version") != GRAPH_FILE_VERSION:
-        raise ValueError(f"unsupported graph file version {data.get('version')!r}")
-    try:
-        vertices = tuple(int(v) for v in data["vertices"])
-        edges = tuple(
-            Edge(
-                id=int(e["id"]),
-                u=int(e["u"]),
-                v=int(e["v"]),
-                length=float(e["length_m"]),
-                phase_per_m=float(e.get("phase_per_m", 0.0)),
-            )
-            for e in data["edges"]
+_KINDS = {str: "a string", float: "a number", int: "a whole number"}
+
+
+def json_value(value, name: str, kind):
+    """A JSON string or number as `kind`; int also needs a whole number."""
+    if kind is str:
+        ok = isinstance(value, str)
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and (
+            kind is float or isinstance(value, int) or value.is_integer()
         )
+    if not ok:
+        raise ValueError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
+def _edge_from_dict(entry) -> Edge:
+    entry = _object(entry, "an edge entry")
+    return Edge(
+        id=json_value(entry["id"], "edge id", int),
+        u=json_value(entry["u"], "edge end u", int),
+        v=json_value(entry["v"], "edge end v", int),
+        length=json_value(entry["length_m"], "length_m", float),
+        phase_per_m=json_value(entry.get("phase_per_m", 0.0), "phase_per_m", float),
+    )
+
+
+def graph_from_dict(data) -> MetricGraph:
+    """The graph a file's JSON value describes; any value of the wrong JSON
+    type is refused with ValueError, never converted."""
+    data = _object(data, "a graph file")
+    version = json_value(data.get("version"), "version", int)
+    if version != GRAPH_FILE_VERSION:
+        raise ValueError(f"unsupported graph file version {version!r}")
+    try:
+        vertices = tuple(json_value(v, "a vertex", int) for v in data["vertices"])
+        edges = tuple(_edge_from_dict(e) for e in data["edges"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph file: {exc}") from exc
-    return MetricGraph(vertices=vertices, edges=edges, metadata=data.get("metadata", {}))
+    metadata = _object(data.get("metadata", {}), "metadata")
+    return MetricGraph(vertices=vertices, edges=edges, metadata=metadata)
 
 
 def save_graph(graph: MetricGraph, path) -> None:

@@ -193,7 +193,10 @@ def emit_campaign_outputs(result, out_dir, manifest: dict | None = None) -> list
     """Write per-configuration spectra plus the aggregate tables.
 
     Returns the emitted paths; a manifest echo with a content hash over
-    the aggregate CSVs closes the provenance loop.
+    the aggregate CSVs closes the provenance loop.  The echo's
+    `xi_overlay` gives the xi the histogram overlay draws and whether the
+    spacings identify it; below MIN_FIT_SPACINGS the overlay draws xi = 1
+    unfitted, which identifies nothing.
     """
     out = Path(out_dir)
     (out / "spectra").mkdir(parents=True, exist_ok=True)
@@ -212,9 +215,10 @@ def emit_campaign_outputs(result, out_dir, manifest: dict | None = None) -> list
 
     centers, density = spacing_histogram(result.spacings)
     if result.spacings.spacings.size >= MIN_FIT_SPACINGS:
-        xi = fit_xi(result.spacings).xi
+        fit = fit_xi(result.spacings)
+        xi, identified = fit.xi, fit.identified
     else:
-        xi = 1.0
+        xi, identified = 1.0, False
     hist_path = out / "spacing_histogram.csv"
     write_histogram_csv(hist_path, centers, density, xi)
 
@@ -237,6 +241,7 @@ def emit_campaign_outputs(result, out_dir, manifest: dict | None = None) -> list
         "levels_before": result.levels_before,
         "levels_after": result.levels_after,
         "aggregate_sha256": digest.hexdigest(),
+        "xi_overlay": {"xi": xi, "identified": identified},
     }
     echo_path = out / "manifest_echo.json"
     with open(echo_path, "w", encoding="utf-8") as fh:

@@ -39,9 +39,6 @@ per graph to verify.  A verification call over all roots of a chunk
 would hold all their 2E x 2E matrices at once, which raised a 6-side
 chunk's peak memory by a fifth.  Each spectrum is bit for bit the one
 its graph gives alone (`solve_spectrum`).
-
-An independent finite-difference discretization of the graph Laplacian
-(with Peierls phases on the links) serves as a cross-method oracle.
 """
 
 from __future__ import annotations
@@ -53,19 +50,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .graphs import MetricGraph, negate_phases, validate
+from .graphs import MetricGraph, validate
 
 __all__ = [
     "SolverConfig",
     "Spectrum",
     "bond_basis",
-    "bond_matrix",
     "vertex_basis",
-    "secular_residual",
     "solve_spectrum",
     "solve_spectra",
-    "fd_oracle_spectrum",
-    "spectrum_under_phase_reversal",
     "drop_levels",
     "NFL_BOUND",
     "ROOT_TOLERANCE",
@@ -149,22 +142,6 @@ def vertex_basis(graph: MetricGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray
             csc_part[i, e.u * n + e.v] += np.exp(-1j * flux)
             csc_part[i, e.v * n + e.u] += np.exp(1j * flux)
     return lengths, cot_part, csc_part
-
-
-def bond_matrix(graph: MetricGraph, k: float) -> np.ndarray:
-    """Unitary bond propagation matrix U(k) = D(k) S at wavenumber k."""
-    if k <= 0.0:
-        raise ValueError(f"k must be positive, got {k}")
-    lengths, chis, smat = bond_basis(graph)
-    d = np.exp(1j * (k * lengths + chis))
-    return d[:, None] * smat
-
-
-def secular_residual(graph: MetricGraph, k: float) -> float:
-    """Smallest singular value of I - U(k); zero exactly at eigenvalues."""
-    u = bond_matrix(graph, k)
-    a = np.eye(u.shape[0], dtype=np.complex128) - u
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -612,95 +589,6 @@ def solve_spectrum(graph: MetricGraph, config: SolverConfig) -> Spectrum:
     """All eigenvalues of one graph in (k_min, k_max]: `solve_spectra`
     of a one-graph list."""
     return solve_spectra([graph], config)[0]
-
-
-# ---------------------------------------------------------------------------
-# independent finite-difference oracle
-# ---------------------------------------------------------------------------
-
-
-def fd_oracle_spectrum(
-    graph: MetricGraph, n_points_per_edge: int = 2000, count: int = 10
-) -> np.ndarray:
-    """Lowest `count` positive wavenumbers from a discretized Laplacian.
-
-    Each edge is divided into n_points_per_edge intervals of a lumped-mass
-    linear-element discretization of -d^2/dx^2; magnetic phases enter as
-    per-link Peierls factors, and Kirchhoff current conservation at the
-    vertices is the natural condition of the assembled form.  Eigenvalue
-    accuracy is O(h^2) with h = L_e / n_points_per_edge.  The zero mode
-    (lambda below 1e-6) is excluded.
-
-    This is the only place scipy is needed (its sparse shift-invert
-    eigensolver); it is imported here so that importing qgraph, solving
-    and campaigns stay numpy-only.
-    """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    if n_points_per_edge < 100:
-        raise ValueError("need at least 100 points per edge")
-    if count < 1:
-        raise ValueError("count must be positive")
-    violations = validate(graph)
-    if violations:
-        raise ValueError("invalid graph: " + "; ".join(violations))
-
-    n_vert = len(graph.vertices)
-    n_interior = n_points_per_edge - 1
-    n_nodes = n_vert + n_interior * len(graph.edges)
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
-    mass = np.zeros(n_nodes)
-
-    def add(i: int, j: int, v: complex) -> None:
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
-    for e_pos, edge in enumerate(graph.edges):
-        h = edge.length / n_points_per_edge
-        hop = np.exp(1j * edge.phase_per_m * h)  # phase per link along u -> v
-        base = n_vert + e_pos * n_interior
-        chain = [edge.u] + [base + j for j in range(n_interior)] + [edge.v]
-        w = 1.0 / h
-        for x, y in zip(chain, chain[1:]):
-            add(x, x, w)
-            add(y, y, w)
-            add(y, x, -hop * w)
-            add(x, y, -np.conj(hop) * w)
-            mass[x] += 0.5 * h
-            mass[y] += 0.5 * h
-
-    stiff = sp.csr_matrix(
-        (np.array(vals, dtype=np.complex128), (rows, cols)), shape=(n_nodes, n_nodes)
-    )
-    mmat = sp.diags(mass).tocsc()
-
-    n_eig = min(count + 4, n_nodes - 2)
-    try:
-        lam = spla.eigsh(
-            stiff, k=n_eig, M=mmat, sigma=-1.0, which="LM", return_eigenvectors=False
-        )
-    except Exception as exc:  # factorization or convergence failure
-        raise RuntimeError(f"discretized eigenproblem failed: {exc}") from exc
-    lam = np.sort(np.real(lam))
-    lam = lam[lam > 1e-6]
-    if lam.size < count:
-        raise RuntimeError(
-            f"oracle produced only {lam.size} positive eigenvalues, wanted {count}"
-        )
-    return np.sqrt(lam[:count])
-
-
-def spectrum_under_phase_reversal(
-    graph: MetricGraph, config: SolverConfig
-) -> tuple[Spectrum, Spectrum]:
-    """Spectra at vector potential +A and -A over the same window."""
-    plus, minus = solve_spectra([graph, negate_phases(graph)], config)
-    return plus, minus
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ __all__ = [
     "TransitionFitResult",
     "MissingLevelReport",
     "weyl_count",
-    "fluctuating_count",
     "shift_distribution",
     "pool_shift_distributions",
     "interlacing_degree",
@@ -51,20 +50,6 @@ def weyl_count(total_length: float, k: float) -> float:
     if k < 0.0:
         raise ValueError(f"k must be non-negative, got {k}")
     return total_length * k / math.pi
-
-
-def fluctuating_count(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
-    """N_fl(k_i) = i - L (k_i - k_min) / pi at each identified level.
-
-    Levels are indexed from the window's lower edge; a missing level shows
-    up as a persistent unit drop of the sequence.
-    """
-    ks = spectrum.expanded()
-    if ks.size == 0:
-        raise ValueError("spectrum is empty")
-    idx = np.arange(1, ks.size + 1)
-    weyl = spectrum.total_length * (ks - spectrum.window[0]) / math.pi
-    return ks, idx - weyl
 
 
 class CountingFunction:
@@ -425,6 +410,12 @@ class TransitionFitResult:
     def __post_init__(self):
         if self.xi < 0.0:
             raise ValueError("fitted xi must be non-negative")
+
+    @property
+    def identified(self) -> bool:
+        """Whether the sample pins xi down: a finite uncertainty no wider
+        than the searched range [0, XI_MAX]."""
+        return math.isfinite(self.xi_uncertainty) and self.xi_uncertainty <= XI_MAX
 
 
 # Smallest spacing sample fit_xi accepts; campaign emission overlays

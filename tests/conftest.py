@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qgraph.graphs import Edge, MetricGraph
-from qgraph.solver import Spectrum, fluctuation_envelope
+from qgraph.graphs import Edge, MetricGraph, validate
+from qgraph.solver import Spectrum, bond_basis, fluctuation_envelope
 from qgraph.stats import (
     BIN_WIDTH,
     MIN_FIT_SPACINGS,
@@ -51,6 +51,98 @@ def eigvals_eigenphases(ks, lengths, chis, smat):
     d = np.exp(1j * (ks[:, None] * lengths + chis))
     u = d[:, :, None] * smat
     return np.mod(np.angle(np.linalg.eigvals(u)), 2 * np.pi)
+
+
+def bond_matrix(graph: MetricGraph, k: float) -> np.ndarray:
+    """Reference propagation matrix: the unitary U(k) = D(k) S on the
+    directed bonds of qgraph.solver.bond_basis, at one wavenumber."""
+    if k <= 0.0:
+        raise ValueError(f"k must be positive, got {k}")
+    lengths, chis, smat = bond_basis(graph)
+    d = np.exp(1j * (k * lengths + chis))
+    return d[:, None] * smat
+
+
+def secular_residual(graph: MetricGraph, k: float) -> float:
+    """Reference residual: the smallest singular value of I - U(k) from an
+    SVD; zero exactly at eigenvalues."""
+    u = bond_matrix(graph, k)
+    a = np.eye(u.shape[0], dtype=np.complex128) - u
+    return float(np.linalg.svd(a, compute_uv=False)[-1])
+
+
+def fd_oracle_spectrum(
+    graph: MetricGraph, n_points_per_edge: int = 2000, count: int = 10
+) -> np.ndarray:
+    """Reference spectrum: the lowest `count` positive wavenumbers of a
+    discretized Laplacian, independent of the secular equation.
+
+    Each edge is divided into n_points_per_edge intervals of a lumped-mass
+    linear-element discretization of -d^2/dx^2; magnetic phases enter as
+    per-link Peierls factors, and Kirchhoff current conservation at the
+    vertices is the natural condition of the assembled form.  Eigenvalue
+    accuracy is O(h^2) with h = L_e / n_points_per_edge.  The zero mode
+    (lambda below 1e-6) is excluded.  scipy's sparse shift-invert
+    eigensolver does the work.
+    """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    if n_points_per_edge < 100:
+        raise ValueError("need at least 100 points per edge")
+    if count < 1:
+        raise ValueError("count must be positive")
+    violations = validate(graph)
+    if violations:
+        raise ValueError("invalid graph: " + "; ".join(violations))
+
+    n_vert = len(graph.vertices)
+    n_interior = n_points_per_edge - 1
+    n_nodes = n_vert + n_interior * len(graph.edges)
+
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[complex] = []
+    mass = np.zeros(n_nodes)
+
+    def add(i: int, j: int, v: complex) -> None:
+        rows.append(i)
+        cols.append(j)
+        vals.append(v)
+
+    for e_pos, edge in enumerate(graph.edges):
+        h = edge.length / n_points_per_edge
+        hop = np.exp(1j * edge.phase_per_m * h)  # phase per link along u -> v
+        base = n_vert + e_pos * n_interior
+        chain = [edge.u] + [base + j for j in range(n_interior)] + [edge.v]
+        w = 1.0 / h
+        for x, y in zip(chain, chain[1:]):
+            add(x, x, w)
+            add(y, y, w)
+            add(y, x, -hop * w)
+            add(x, y, -np.conj(hop) * w)
+            mass[x] += 0.5 * h
+            mass[y] += 0.5 * h
+
+    stiff = sp.csr_matrix(
+        (np.array(vals, dtype=np.complex128), (rows, cols)), shape=(n_nodes, n_nodes)
+    )
+    mmat = sp.diags(mass).tocsc()
+
+    n_eig = min(count + 4, n_nodes - 2)
+    try:
+        lam = spla.eigsh(
+            stiff, k=n_eig, M=mmat, sigma=-1.0, which="LM", return_eigenvectors=False
+        )
+    except Exception as exc:  # factorization or convergence failure
+        raise RuntimeError(f"discretized eigenproblem failed: {exc}") from exc
+    lam = np.sort(np.real(lam))
+    lam = lam[lam > 1e-6]
+    if lam.size < count:
+        raise RuntimeError(
+            f"oracle produced only {lam.size} positive eigenvalues, wanted {count}"
+        )
+    return np.sqrt(lam[:count])
 
 
 def least_squares_fit_xi(sample: SpacingSample) -> TransitionFitResult:

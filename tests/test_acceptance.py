@@ -14,19 +14,12 @@ import numpy as np
 import pytest
 
 from qgraph.ensemble import gue_numerics_plan, plan_from_manifest, run_campaign
-from qgraph.graphs import Edge, MetricGraph
+from qgraph.graphs import Edge, MetricGraph, negate_phases
 from qgraph.presets import preset
-from qgraph.solver import (
-    SolverConfig,
-    drop_levels,
-    fd_oracle_spectrum,
-    solve_spectrum,
-    spectrum_under_phase_reversal,
-)
+from qgraph.solver import SolverConfig, drop_levels, solve_spectra, solve_spectrum
 from qgraph.stats import (
     SpacingSample,
     fit_xi,
-    fluctuating_count,
     ks_distance,
     sample_transition,
     transition_pdf,
@@ -35,7 +28,7 @@ from qgraph.stats import (
 from qgraph.units import k_from_ghz
 from qgraph import io as qio
 
-from conftest import interval_graph, loop_graph, random_k4
+from conftest import fd_oracle_spectrum, interval_graph, loop_graph, random_k4
 
 WORKERS = 4
 
@@ -130,14 +123,14 @@ def test_criterion_3_completeness_and_fault_injection(goe_campaign):
     worst = 0.0
     for pair in result.pairs:
         for spec in (pair.before, pair.after):
-            _, nfl = fluctuating_count(spec)
-            worst = max(worst, float(np.abs(nfl).max()))
-            assert np.abs(nfl).max() <= NFL_BOUND
+            worst = max(worst, spec.nfl_max)
+            assert spec.nfl_max <= NFL_BOUND
             assert spec.complete
     # fault injection: dropping a root ahead of the deepest N_fl excursion
     # must push the envelope past the bound and trip the flag
     spec = result.pairs[0].before
-    _, nfl = fluctuating_count(spec)
+    ks = spec.expanded()
+    nfl = np.arange(1, ks.size + 1) - spec.total_length * (ks - spec.window[0]) / math.pi
     assert nfl.min() < -(NFL_BOUND - 1.0)
     victim = int(np.argmin(nfl))  # 0-based position of the deepest excursion
     faulted = drop_levels(spec, [victim])
@@ -206,7 +199,8 @@ def test_criterion_6_gue_statistics(gue_numerics_campaign):
 
 def test_criterion_7_phase_reversal():
     cfg = SolverConfig(k_from_ghz(0.8), k_from_ghz(2.5))
-    plus, minus = spectrum_under_phase_reversal(preset("gue").graph, cfg)
+    graph = preset("gue").graph
+    plus, minus = solve_spectra([graph, negate_phases(graph)], cfg)
     assert plus.count == minus.count
     gap = np.abs(plus.expanded() - minus.expanded()).max()
     assert gap <= PHASE_REVERSAL_TOL

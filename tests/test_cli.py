@@ -14,7 +14,7 @@ from qgraph.cli import main
 from qgraph.ensemble import gue_numerics_plan, run_campaign
 from qgraph.graphs import Edge, MetricGraph, save_graph
 from qgraph.presets import preset
-from qgraph.stats import SpacingSample, sample_transition
+from qgraph.stats import SpacingSample, fit_xi, sample_transition
 from qgraph import io as qio
 
 
@@ -53,6 +53,41 @@ def test_validate_and_solve_reject_non_finite_phase(tmp_path, capsys, phase):
     out = tmp_path / "spec.csv"
     assert main(["solve", str(path), "--window-k", "0.1:10", "--out", str(out)]) == 2
     assert "error: invalid graph" in capsys.readouterr().err
+
+
+def _edit_edge(key, value):
+    def edit(data):
+        data["edges"][0][key] = value
+        return data
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda data: [1, 2], "a graph file"),
+        (lambda data: {**data, "edges": [5]}, "an edge entry"),
+        (lambda data: {**data, "metadata": [1]}, "metadata"),
+        (lambda data: {**data, "version": True}, "version"),
+        (lambda data: {**data, "vertices": [0, True]}, "a vertex"),
+        (_edit_edge("id", 1.7), "edge id"),
+        (_edit_edge("u", "0"), "edge end u"),
+        (_edit_edge("length_m", True), "length_m"),
+        (_edit_edge("length_m", "1.0"), "length_m"),
+        (_edit_edge("phase_per_m", None), "phase_per_m"),
+    ],
+    ids=["list", "edge-entry", "metadata", "version-bool", "vertex-bool", "id-fraction", "end-string",
+         "length-bool", "length-string", "phase-null"],
+)
+def test_validate_refuses_wrong_json_types(tmp_path, capsys, edit, named):
+    # a graph file's values are checked as a manifest's are: the wrong JSON
+    # type is an input error, never a traceback or a silent conversion
+    path = tmp_path / "bad.json"
+    save_graph(MetricGraph(vertices=(0, 1), edges=(Edge(1, 0, 1, 1.0),)), path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 def test_validate_disconnected(tmp_path):
@@ -448,6 +483,7 @@ def test_fit_xi_roundtrip(tmp_path, rng, capsys):
     assert main(["fit-xi", str(spath), "--out", str(tmp_path / "overlay.csv")]) == 0
     assert capsys.readouterr().out.startswith("xi = ")
     assert (tmp_path / "overlay.csv").exists()
+    assert fit_xi(sample).identified
 
 
 def test_fit_xi_says_when_the_sample_does_not_identify_xi(tmp_path, capsys):
@@ -461,6 +497,12 @@ def test_fit_xi_says_when_the_sample_does_not_identify_xi(tmp_path, capsys):
     assert out.startswith("the sample does not identify xi: the fit gives xi = 100.0000 +/- ")
     assert "XI_MAX = 100" in out and "n = 1765" in out
     assert qio.read_histogram_csv(tmp_path / "overlay.csv")["s_bin_center"].size > 0
+    # the campaign's own overlay says the same in its echo
+    assert not fit_xi(result.spacings).identified
+    qio.emit_campaign_outputs(result, tmp_path / "run")
+    echo = json.loads((tmp_path / "run" / "manifest_echo.json").read_text())
+    assert echo["xi_overlay"]["identified"] is False
+    assert echo["xi_overlay"]["xi"] == pytest.approx(100.0)
 
 
 @pytest.mark.parametrize(
@@ -532,14 +574,13 @@ def test_preset_unknown(tmp_path):
 
 
 def test_runtime_needs_no_scipy(tmp_path):
-    # scipy serves only the finite-difference oracle: with it blocked,
-    # importing qgraph and every runtime command work, including a
-    # campaign large enough to fit xi
+    # scipy is a test dependency only: with it blocked, importing qgraph
+    # and every runtime command work, including a campaign large enough to
+    # fit xi
     script = textwrap.dedent(
         """
         import json, sys
         sys.modules["scipy"] = None
-        from qgraph import solver
         from qgraph.cli import main
         from qgraph.graphs import save_graph
         from qgraph.presets import gue_numerics_window, preset
@@ -560,12 +601,7 @@ def test_runtime_needs_no_scipy(tmp_path):
             main(["campaign", "gue.json", "--out", "run"]),
             main(["fit-xi", "run/spacings.csv", "--out", "overlay.csv"]),
         ]
-        try:
-            solver.fd_oracle_spectrum(preset("goe_a").graph, 100, 2)
-            oracle = "ran"
-        except ImportError:
-            oracle = "ImportError"
-        print(json.dumps({"codes": codes, "oracle": oracle}))
+        print(json.dumps({"codes": codes}))
         """
     )
     src = str(Path(qgraph.__file__).resolve().parents[1])
@@ -575,7 +611,7 @@ def test_runtime_needs_no_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result == {"codes": [0, 0, 0, 0], "oracle": "ImportError"}
+    assert result == {"codes": [0, 0, 0, 0]}
     spacings = qio.read_spacings_csv(tmp_path / "run" / "spacings.csv")
     assert spacings.spacings.size >= 200
 

@@ -12,6 +12,7 @@ from qgraph.graphs import generate_configurations
 from qgraph.solver import SolverConfig, Spectrum, solve_spectrum
 from qgraph.presets import preset
 from qgraph.stats import (
+    MIN_FIT_SPACINGS,
     SpacingSample,
     pool_shift_distributions,
     shift_distribution,
@@ -235,3 +236,6 @@ def test_emit_campaign_outputs(tmp_path):
     echo = json.loads((tmp_path / "manifest_echo.json").read_text())
     assert "aggregate_sha256" in echo
     assert echo["degraded"] is False
+    # too few spacings to fit: the overlay's xi = 1 is a placeholder
+    assert result.spacings.spacings.size < MIN_FIT_SPACINGS
+    assert echo["xi_overlay"] == {"xi": 1.0, "identified": False}

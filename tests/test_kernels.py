@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from qgraph import kernels
 from qgraph.graphs import Edge, MetricGraph
 from qgraph.presets import preset
-from qgraph.solver import bond_basis, bond_matrix, vertex_basis
+from qgraph.solver import bond_basis, vertex_basis
 
 from conftest import (
+    bond_matrix,
     eigvals_eigenphases,
     interval_graph,
     loop_graph,

@@ -1,6 +1,8 @@
-"""The qgraph modules import one another in layers: no cycle, no deferred import."""
+"""The qgraph modules import one another in layers: no cycle, no deferred
+import; beyond one another they import only numpy and the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qgraph"
@@ -53,3 +55,26 @@ def test_sibling_imports_have_no_cycle():
             break
         peeled |= ready
     assert {name: sorted(imports[name]) for name in MODULES if name not in peeled} == {}
+
+
+def _packages(node) -> list[str]:
+    """The top-level packages an absolute import statement reads from."""
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module.partition(".")[0]]
+    if isinstance(node, ast.Import):
+        return [a.name.partition(".")[0] for a in node.names]
+    return []
+
+
+def test_runtime_imports_only_numpy_and_the_standard_library():
+    # numpy is the one runtime dependency pyproject.toml declares; scipy and
+    # the other test dependencies stay out of the package, deferred imports
+    # included
+    outside = [
+        (name, package, node.lineno)
+        for name in ["__init__", *MODULES]
+        for node in ast.walk(_parse(name))
+        for package in _packages(node)
+        if package not in sys.stdlib_module_names and package not in ("numpy", "qgraph")
+    ]
+    assert outside == []

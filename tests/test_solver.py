@@ -14,18 +14,23 @@ from qgraph.solver import (
     ROOT_TOLERANCE,
     SolverConfig,
     _Batch,
-    bond_matrix,
     drop_levels,
-    fd_oracle_spectrum,
-    secular_residual,
     solve_spectra,
     solve_spectrum,
-    spectrum_under_phase_reversal,
 )
 from qgraph.stats import interlacing_degree
 from qgraph.units import k_from_ghz
 
-from conftest import eigvals_eigenphases, interval_graph, loop_graph, random_k4, three_star
+from conftest import (
+    bond_matrix,
+    eigvals_eigenphases,
+    fd_oracle_spectrum,
+    interval_graph,
+    loop_graph,
+    random_k4,
+    secular_residual,
+    three_star,
+)
 
 # dense k-scan of the secular residual at step 1e-5 over (0.1, 20) with
 # parabolic refinement of the squared residual; arms 1.0 / 0.7 / 0.5
@@ -321,7 +326,7 @@ def test_spectrum_invariant_under_edge_order_and_orientation(graph, data):
         for e, flip in zip(order, flips)
     )
     cfg = SolverConfig(0.1, 12.0)
-    a, reversed_phases = spectrum_under_phase_reversal(graph, cfg)
+    a, reversed_phases = solve_spectra([graph, negate_phases(graph)], cfg)
     for b in (solve_spectrum(graph.with_edges(edges), cfg), reversed_phases):
         assert a.status == b.status
         assert a.count == b.count
@@ -547,7 +552,7 @@ def test_fd_oracle_validates_input():
 def test_phase_reversal_symmetry():
     g = preset("gue").graph
     cfg = SolverConfig(k_from_ghz(0.8), k_from_ghz(1.6))
-    plus, minus = spectrum_under_phase_reversal(g, cfg)
+    plus, minus = solve_spectra([g, negate_phases(g)], cfg)
     assert plus.count == minus.count
     assert np.abs(plus.expanded() - minus.expanded()).max() <= 2 * ROOT_TOLERANCE
 
@@ -555,7 +560,7 @@ def test_phase_reversal_symmetry():
 def test_phase_reversal_identity_without_phases():
     g = preset("goe_a").graph
     cfg = SolverConfig(0.5, 15.0)
-    plus, minus = spectrum_under_phase_reversal(g, cfg)
+    plus, minus = solve_spectra([g, negate_phases(g)], cfg)
     assert np.array_equal(plus.wavenumbers, minus.wavenumbers)
 
 

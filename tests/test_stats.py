@@ -18,7 +18,6 @@ from qgraph.stats import (
     detect_missing_resonances,
     erf,
     fit_xi,
-    fluctuating_count,
     interlacing_degree,
     ks_distance,
     pool_shift_distributions,
@@ -63,9 +62,7 @@ def test_fluctuating_count_regular_spectrum():
     length = 2.0
     ks = np.arange(1, 21) * math.pi / length
     spec = make_spectrum(ks, (0.0, 35.0), length)
-    _, nfl = fluctuating_count(spec)
-    assert np.all(nfl <= 0.0 + 1e-12)
-    assert np.all(nfl >= -1.0 - 1e-12)
+    assert spec.nfl_max <= 1e-12
 
 
 def test_fluctuating_count_detects_deletion():
@@ -73,16 +70,20 @@ def test_fluctuating_count_detects_deletion():
     ks = np.arange(1, 41) * math.pi / length
     spec = make_spectrum(ks, (0.0, 70.0), length)
     faulted = drop_levels(spec, [20])
-    _, nfl = fluctuating_count(faulted)
-    assert np.all(nfl[20:] <= -0.9)  # persistent unit offset past the gap
+    # a lasting negative unit offset past the gap, on a spectrum that is
+    # exact without it
+    ks = faulted.expanded()
+    nfl = np.arange(1, ks.size + 1) - faulted.total_length * (ks - faulted.window[0]) / math.pi
+    assert np.all(nfl[20:] <= -0.9)
+    assert spec.nfl_max <= 1e-12
+    assert faulted.nfl_max == pytest.approx(1.0)
 
 
 def test_fluctuating_count_goe_a_bound():
     spec = solve_spectrum(
         preset("goe_a").graph, SolverConfig(k_from_ghz(0.01), k_from_ghz(2.5))
     )
-    _, nfl = fluctuating_count(spec)
-    assert np.abs(nfl).max() <= 3.0
+    assert spec.nfl_max <= 3.0
 
 
 def test_counting_function_steps():
