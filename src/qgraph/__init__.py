@@ -18,12 +18,7 @@ from .graphs import (
     transfer_length,
     validate,
 )
-from .solver import (
-    SolverConfig,
-    Spectrum,
-    drop_levels,
-    solve_spectrum,
-)
+from .solver import Spectrum, drop_levels, solve_spectrum
 from .stats import (
     ShiftDistribution,
     SpacingSample,

@@ -15,7 +15,7 @@ from . import io as qio
 from .ensemble import load_manifest, plan_from_manifest, run_campaign
 from .graphs import SwitchDescriptor, edge_switch, load_graph, save_graph, validate
 from .presets import preset, preset_names
-from .solver import SolverConfig, drop_levels, solve_spectra, solve_spectrum
+from .solver import drop_levels, solve_spectra, solve_spectrum
 from .stats import (
     XI_MAX,
     detect_missing_resonances,
@@ -63,8 +63,8 @@ def cmd_validate(args) -> CommandOutcome:
 
 def cmd_solve(args) -> CommandOutcome:
     graph = load_graph(args.graph)
-    k_lo, k_hi = _parse_window(args)
-    spectrum = solve_spectrum(graph, SolverConfig(k_min=k_lo, k_max=k_hi))
+    k_lo, k_hi = window = _parse_window(args)
+    spectrum = solve_spectrum(graph, window)
     out = Path(args.out)
     qio.write_spectrum_csv(spectrum, out)
     weyl = weyl_count(graph.total_length, k_hi) - weyl_count(graph.total_length, k_lo)
@@ -81,9 +81,7 @@ def cmd_compare(args) -> CommandOutcome:
     edge_a, edge_b = (int(x) for x in args.edges.split(","))
     descriptor = SwitchDescriptor(pivot=args.pivot, edge_a=edge_a, edge_b=edge_b)
     descriptor.check(graph)
-    k_lo, k_hi = _parse_window(args)
-    config = SolverConfig(k_min=k_lo, k_max=k_hi)
-    before, after = solve_spectra([graph, edge_switch(graph, descriptor)], config)
+    before, after = solve_spectra([graph, edge_switch(graph, descriptor)], _parse_window(args))
     if args.drop_level:
         after = drop_levels(after, [args.drop_level])
 

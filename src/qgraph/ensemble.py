@@ -1,7 +1,7 @@
 """Configuration ensembles: phase-shifter sweeps, switch pairs, campaigns.
 
-A campaign is a list of (before, after) graph pairs solved under one
-solver configuration.  Its sides are split into one contiguous chunk per
+A campaign is a list of (before, after) graph pairs solved over one
+window (k_min, k_max).  Its sides are split into one contiguous chunk per
 worker, and each chunk is solved in lockstep by one `solve_spectra` call.
 A side's spectrum does not depend on the chunk it is solved in, and the
 reducer is a deterministic fold over results in configuration order, so
@@ -11,7 +11,6 @@ a campaign returns bit-identical results at any worker count.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -22,17 +21,19 @@ from .graphs import (
     MetricGraph,
     SweepSpec,
     SwitchDescriptor,
+    check_keys,
     edge_switch,
     generate_configurations,
     json_value,
     load_graph,
     pin_total_length,
+    read_json,
 )
 from .presets import GOE_WINDOW, gue_numerics_window, preset
 # campaigns solve through solve_spectra; solve_spectrum stays importable here
 # because perfbench/tracing.py patches qgraph.ensemble.solve_spectrum, and
 # traced benchmark runs fail without it
-from .solver import SolverConfig, Spectrum, solve_spectra, solve_spectrum  # noqa: F401
+from .solver import Spectrum, check_window, solve_spectra, solve_spectrum  # noqa: F401
 from .stats import (
     ShiftDistribution,
     SpacingSample,
@@ -49,7 +50,6 @@ __all__ = [
     "PairResult",
     "CampaignResult",
     "randomized_ensemble",
-    "randomized_plan",
     "run_campaign",
     "plan_from_manifest",
     "load_manifest",
@@ -116,35 +116,12 @@ def randomized_ensemble(
 
 @dataclass(frozen=True)
 class CampaignPlan:
-    """Explicit pair list plus solver settings and provenance."""
+    """Explicit pair list, the window (k_min, k_max) every side is solved
+    over, and provenance."""
 
     pairs: tuple[tuple[MetricGraph, MetricGraph], ...]
-    solver: SolverConfig
+    window: tuple[float, float]
     provenance: dict = field(default_factory=dict)
-
-
-def randomized_plan(
-    base: MetricGraph,
-    switch: SwitchDescriptor,
-    solver: SolverConfig,
-    count: int,
-    jitter: float,
-    seed: int,
-    source: str,
-) -> CampaignPlan:
-    """Seeded length jitters of `base`, each paired with its switch image."""
-    graphs = randomized_ensemble(base, count, jitter, seed)
-    return CampaignPlan(
-        pairs=tuple((g, edge_switch(g, switch)) for g in graphs),
-        solver=solver,
-        provenance={
-            "source": source,
-            "mode": "randomized",
-            "count": count,
-            "jitter": jitter,
-            "seed": seed,
-        },
-    )
 
 
 @dataclass(frozen=True)
@@ -199,11 +176,11 @@ def run_campaign(plan: CampaignPlan, workers: int = 1) -> CampaignResult:
     sides = [graph for pair in plan.pairs for graph in pair]
     n = min(workers, len(sides))
     if n <= 1:
-        spectra = solve_spectra(sides, plan.solver)
+        spectra = solve_spectra(sides, plan.window)
     else:
         chunks = [sides[i * len(sides) // n:(i + 1) * len(sides) // n] for i in range(n)]
         with ProcessPoolExecutor(max_workers=n) as pool:
-            solved = pool.map(solve_spectra, chunks, itertools.repeat(plan.solver))
+            solved = pool.map(solve_spectra, chunks, itertools.repeat(plan.window))
             spectra = [spectrum for chunk in solved for spectrum in chunk]
 
     pair_results = []
@@ -251,21 +228,10 @@ def run_campaign(plan: CampaignPlan, workers: int = 1) -> CampaignResult:
 
 
 def load_manifest(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh, object_pairs_hook=_unique_keys)
+    manifest = read_json(path, "manifest")
     if not isinstance(manifest, dict) or not manifest:
         raise ValueError("manifest must be a non-empty JSON object")
     return manifest
-
-
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object as a dict, refusing a repeated key (json keeps the last)."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ValueError(f"manifest repeats key {key!r}")
-        out[key] = value
-    return out
 
 
 # the keys that name a campaign's graphs and its pairs, one set per shape
@@ -285,29 +251,19 @@ _FIELDS = {
 }
 
 
-def _check_keys(what: str, keys, fields) -> None:
-    """Refuse `keys` unless they are exactly `fields`, naming the difference."""
-    unexpected, missing = sorted(set(keys) - set(fields)), sorted(set(fields) - set(keys))
-    if unexpected or missing:
-        raise ValueError(f"{what}: " + ", ".join(
-            f"{label} key(s) {names}"
-            for label, names in (("unexpected", unexpected), ("missing", missing)) if names
-        ))
-
-
 def _block(value, name: str) -> dict:
     """A nested block with exactly its fields, each read as its kind."""
     fields = _FIELDS[name]
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be an object with keys {sorted(fields)}")
-    _check_keys(name, value, fields)
+    check_keys(name, value, fields)
     return {
         key: _block(value[key], key) if kind is None else json_value(value[key], key, kind)
         for key, kind in fields.items()
     }
 
 
-def _window(manifest: dict) -> SolverConfig | None:
+def _window(manifest: dict) -> tuple[float, float] | None:
     """The manifest's window, checked, or None where the source's holds."""
     keys = [key for key in ("window_ghz", "window_k") if key in manifest]
     if len(keys) > 1:
@@ -318,9 +274,9 @@ def _window(manifest: dict) -> SolverConfig | None:
     if not isinstance(value, list) or len(value) != 2:
         raise ValueError(f"{keys[0]} must be [lo, hi], got {value!r}")
     to_k = k_from_ghz if keys[0] == "window_ghz" else float
-    config = SolverConfig(*(to_k(json_value(x, keys[0], float)) for x in value))
-    config.check()
-    return config
+    window = tuple(to_k(json_value(x, keys[0], float)) for x in value)
+    check_window(window)
+    return window
 
 
 def plan_from_manifest(manifest: dict) -> CampaignPlan:
@@ -345,7 +301,7 @@ def plan_from_manifest(manifest: dict) -> CampaignPlan:
     # the shape sharing most keys with the manifest, the first on a tie,
     # names the keys that are unexpected or missing
     shape = max(_SHAPES, key=lambda keys: len(keys & set(manifest)))
-    _check_keys("manifest does not describe a campaign", set(manifest) - _COMMON_KEYS, shape)
+    check_keys("manifest does not describe a campaign", set(manifest) - _COMMON_KEYS, shape)
     seed = json_value(manifest.get("seed", 0), "seed", int)
     json_value(manifest.get("out_dir", ""), "out_dir", str)
     window = _window(manifest)
@@ -374,7 +330,12 @@ def plan_from_manifest(manifest: dict) -> CampaignPlan:
         [(source, base, sweep)] = sources
         rnd = _block(manifest["randomized"], "randomized")
         switch = sweep.switch if sweep else SwitchDescriptor(**_block(manifest["switch"], "switch"))
-        return randomized_plan(base, switch, window, rnd["count"], rnd["jitter"], seed, source)
+        graphs = randomized_ensemble(base, rnd["count"], rnd["jitter"], seed)
+        return CampaignPlan(
+            tuple((g, edge_switch(g, switch)) for g in graphs),
+            window,
+            {"source": source, "mode": "randomized", **rnd, "seed": seed},
+        )
     if "sweep" in shape:
         [(source, base, _)] = sources
         sw = _block(manifest["sweep"], "sweep")

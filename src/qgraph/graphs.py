@@ -152,8 +152,11 @@ def validate(graph: MetricGraph) -> list[str]:
     if not graph.edges:
         violations.append("graph has no edges")
         return violations
-    if length_ok and not (graph.total_length > 0.0):
-        violations.append(f"total length must be positive, got {graph.total_length}")
+    if length_ok:
+        try:
+            graph.total_length  # fsum raises where the exact sum is not a float
+        except OverflowError:
+            violations.append("total length overflows a float")
     for v in graph.vertices:
         if graph.degree(v) < 1:
             violations.append(f"vertex {v} is isolated (degree 0)")
@@ -362,6 +365,32 @@ def json_value(value, name: str, kind):
     return kind(value)
 
 
+def check_keys(what: str, keys, fields) -> None:
+    """Refuse `keys` unless they are exactly `fields`, naming the difference."""
+    unexpected, missing = sorted(set(keys) - set(fields)), sorted(set(fields) - set(keys))
+    if unexpected or missing:
+        raise ValueError(f"{what}: " + ", ".join(
+            f"{label} key(s) {names}"
+            for label, names in (("unexpected", unexpected), ("missing", missing)) if names
+        ))
+
+
+def read_json(path, what: str):
+    """The JSON value of a file, refusing a key repeated in one object
+    (json keeps the last)."""
+
+    def unique_keys(pairs: list) -> dict:
+        out = {}
+        for key, value in pairs:
+            if key in out:
+                raise ValueError(f"{what} repeats key {key!r}")
+            out[key] = value
+        return out
+
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, object_pairs_hook=unique_keys)
+
+
 def _object(value, name: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be a JSON object, got {value!r}")
@@ -370,6 +399,8 @@ def _object(value, name: str) -> dict:
 
 def _edge_from_dict(entry) -> Edge:
     entry = _object(entry, "an edge entry")
+    # phase_per_m is optional
+    check_keys("an edge entry", set(entry) - {"phase_per_m"}, ("id", "u", "v", "length_m"))
     return Edge(
         id=json_value(entry["id"], "edge id", int),
         u=json_value(entry["u"], "edge end u", int),
@@ -380,16 +411,19 @@ def _edge_from_dict(entry) -> Edge:
 
 
 def graph_from_dict(data) -> MetricGraph:
-    """The graph a file's JSON value describes; any value of the wrong JSON
-    type is refused with ValueError, never converted."""
+    """The graph a file's JSON value describes; a key outside the format, a
+    missing key and any value of the wrong JSON type are refused with
+    ValueError, never dropped or converted."""
     data = _object(data, "a graph file")
     version = json_value(data.get("version"), "version", int)
     if version != GRAPH_FILE_VERSION:
         raise ValueError(f"unsupported graph file version {version!r}")
+    # metadata is optional
+    check_keys("a graph file", set(data) - {"metadata"}, ("version", "vertices", "edges"))
     try:
         vertices = tuple(json_value(v, "a vertex", int) for v in data["vertices"])
         edges = tuple(_edge_from_dict(e) for e in data["edges"])
-    except (KeyError, TypeError) as exc:
+    except TypeError as exc:
         raise ValueError(f"malformed graph file: {exc}") from exc
     metadata = _object(data.get("metadata", {}), "metadata")
     return MetricGraph(vertices=vertices, edges=edges, metadata=metadata)
@@ -403,6 +437,4 @@ def save_graph(graph: MetricGraph, path) -> None:
 
 
 def load_graph(path) -> MetricGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return graph_from_dict(data)
+    return graph_from_dict(read_json(path, "graph file"))

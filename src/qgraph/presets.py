@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 from .graphs import Edge, MetricGraph, SweepSpec, SwitchDescriptor
-from .solver import SolverConfig
 from .units import k_from_ghz
 
 __all__ = [
@@ -44,7 +43,7 @@ GUE_NUMERICS_LEVELS_PER_CONFIG = 149
 
 # The window of the time-reversal-invariant sweeps, 0.01-2.5 GHz, and the
 # default of a campaign on a graph file, which carries no window
-GOE_WINDOW = SolverConfig(k_from_ghz(0.01), k_from_ghz(2.5))
+GOE_WINDOW = (k_from_ghz(0.01), k_from_ghz(2.5))
 
 _A, _B, _C, _D = 0, 1, 2, 3
 # the tetrahedron's ends by edge id; orientations matter only when phases
@@ -57,7 +56,7 @@ class Preset:
     name: str
     graph: MetricGraph
     sweep: SweepSpec
-    window: SolverConfig
+    window: tuple[float, float]
     notes: str
 
 
@@ -85,7 +84,7 @@ _TABLE = {
         {1: 0.697, 2: 0.327, 3: 0.170, 6: 0.612}, (4, 5), 2.918, GUE_PHASE_PER_M,
         SweepSpec(grow_edge=1, shrink_edge=6, step_delta=0.005, step_count=7,
                   switch=SwitchDescriptor(pivot=_B, edge_a=3, edge_b=2)),
-        SolverConfig(k_from_ghz(0.8), k_from_ghz(2.5)),  # the circulator band
+        (k_from_ghz(0.8), k_from_ghz(2.5)),  # the circulator band
         "edges 1, 4, 5, 6 unpublished for this network: edge 1 and 6 reuse "
         "the shifter cable lengths, the rest is a golden-ratio split; the "
         "vector potential value and orientations are artifact choices",
@@ -123,6 +122,6 @@ def gue_numerics_window(graph: MetricGraph | None = None) -> tuple[float, float]
     """
     if graph is None:
         graph = preset("gue").graph
-    k_min = GOE_WINDOW.k_min
+    k_min = GOE_WINDOW[0]
     k_max = k_min + GUE_NUMERICS_LEVELS_PER_CONFIG * math.pi / graph.total_length
     return k_min, k_max

@@ -32,13 +32,14 @@ normal, so the smallest singular value of I - U(k) is the distance
 2 |sin(theta / 2)| of the nearest eigenvalue e^{i theta} of U from 1.
 
 `solve_spectra` solves graphs with one vertex and edge count in lockstep
-from their stacked arrays, each kernel call taking a point's graph from
-an owner index: one vertex-kernel call per search step, one eigenphase
-call for all window edges, at most one per step next to a pole, and one
-per graph to verify.  A verification call over all roots of a chunk
-would hold all their 2E x 2E matrices at once, which raised a 6-side
-chunk's peak memory by a fifth.  Each spectrum is bit for bit the one
-its graph gives alone (`solve_spectrum`).
+over one window, a (k_min, k_max) pair of floats checked by
+`check_window`, from their stacked arrays, each kernel call taking a
+point's graph from an owner index: one vertex-kernel call per search
+step, one eigenphase call for all window edges, at most one per step
+next to a pole, and one per graph to verify.  A verification call over
+all roots of a chunk would hold all their 2E x 2E matrices at once,
+which raised a 6-side chunk's peak memory by a fifth.  Each spectrum is
+bit for bit the one its graph gives alone (`solve_spectrum`).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from . import kernels
 from .graphs import MetricGraph, validate
 
 __all__ = [
-    "SolverConfig",
+    "check_window",
     "Spectrum",
     "bond_basis",
     "vertex_basis",
@@ -145,29 +146,15 @@ def vertex_basis(graph: MetricGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# solver configuration and results
+# windows and results
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """The window (k_min, k_max] of a spectral solve.
-
-    The scan steps pi / (2 L) for total length L, at least 9 points over
-    the window: the mean level density is L/pi per unit k, so the scan
-    places two points per mean spacing.  The count of every scan cell is
-    exact at any step, so the step trades scan points against bisection
-    steps, not completeness.
-    """
-
-    k_min: float
-    k_max: float
-
-    def check(self) -> None:
-        if not (0.0 < self.k_min < self.k_max < math.inf):
-            raise ValueError(
-                f"need 0 < k_min < k_max, both finite, got ({self.k_min}, {self.k_max})"
-            )
+def check_window(window: tuple[float, float]) -> None:
+    """Refuse a window (k_min, k_max] unless 0 < k_min < k_max < inf."""
+    k_min, k_max = window
+    if not (0.0 < k_min < k_max < math.inf):
+        raise ValueError(f"need 0 < k_min < k_max, both finite, got ({k_min}, {k_max})")
 
 
 @dataclass(frozen=True)
@@ -457,7 +444,7 @@ def _merge_close(
 
 
 def _verified_spectrum(
-    batch: _Batch, i: int, ks: np.ndarray, mults: np.ndarray, ends: np.ndarray, config: SolverConfig
+    batch: _Batch, i: int, ks: np.ndarray, mults: np.ndarray, ends: np.ndarray, window: tuple
 ) -> Spectrum:
     """The spectrum of graph i of the batch from its isolated roots and the
     eigenphase windings `ends` at k_min and k_max.
@@ -470,7 +457,7 @@ def _verified_spectrum(
     each segment (previous root, root]: it must hold that root's
     multiplicity, and (last root, k_max] none.
     """
-    k_lo, k_hi = config.k_min, config.k_max
+    k_lo, k_hi = window
     v_min, total_length = batch.v_min[i], float(batch.total_length[i])
     # a polished root lies within tol of its level, and eigenphases move no
     # faster than the longest bond, so at a root its own phase lies within
@@ -533,8 +520,9 @@ def _verified_spectrum(
     )
 
 
-def solve_spectra(graphs: Sequence[MetricGraph], config: SolverConfig) -> list[Spectrum]:
-    """All eigenvalues of each graph in (k_min, k_max], verified complete.
+def solve_spectra(graphs: Sequence[MetricGraph], window: tuple[float, float]) -> list[Spectrum]:
+    """All eigenvalues of each graph in the window (k_min, k_max], verified
+    complete.
 
     The graphs must share one vertex count and one edge count (a switch
     pair or a length-jittered ensemble does); they are solved in lockstep.
@@ -550,19 +538,25 @@ def solve_spectra(graphs: Sequence[MetricGraph], config: SolverConfig) -> list[S
     k_min, included at k_max.  One eigenphase call counts the edges of all
     graphs, for the search and the verification alike.  Each spectrum is bit
     for bit the one the graph gives when solved alone.
+
+    The scan steps pi / (2 L) for total length L, at least 9 points over
+    the window: the mean level density is L/pi per unit k, so the scan
+    places two points per mean spacing.  The count of every scan cell is
+    exact at any step, so the step trades scan points against bisection
+    steps, not completeness.
     """
     graphs = list(graphs)
     for graph in graphs:
         violations = validate(graph)
         if violations:
             raise ValueError("invalid graph: " + "; ".join(violations))
-    config.check()
+    check_window(window)
     if len({(len(g.vertices), len(g.edges)) for g in graphs}) > 1:
         raise ValueError("graphs solved together need one vertex count and one edge count")
     if not graphs:
         return []
 
-    k_lo, k_hi = config.k_min, config.k_max
+    k_lo, k_hi = window
     grids = []
     for graph in graphs:
         step = math.pi / (2.0 * graph.total_length)
@@ -580,15 +574,15 @@ def solve_spectra(graphs: Sequence[MetricGraph], config: SolverConfig) -> list[S
     scan[0][pts], _, scan[2][pts] = batch.phase_count(grid[pts], owner[pts])
     roots = _isolate_roots(batch, grid, owner, scan)
     return [
-        _verified_spectrum(batch, i, ks, mults, scan[0][ends], config)
+        _verified_spectrum(batch, i, ks, mults, scan[0][ends], window)
         for i, ((ks, mults), ends) in enumerate(zip(roots, edge_pts))
     ]
 
 
-def solve_spectrum(graph: MetricGraph, config: SolverConfig) -> Spectrum:
-    """All eigenvalues of one graph in (k_min, k_max]: `solve_spectra`
-    of a one-graph list."""
-    return solve_spectra([graph], config)[0]
+def solve_spectrum(graph: MetricGraph, window: tuple[float, float]) -> Spectrum:
+    """All eigenvalues of one graph in the window (k_min, k_max]:
+    `solve_spectra` of a one-graph list."""
+    return solve_spectra([graph], window)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 from qgraph.ensemble import gue_numerics_plan, plan_from_manifest, run_campaign
 from qgraph.graphs import Edge, MetricGraph, negate_phases
 from qgraph.presets import preset
-from qgraph.solver import SolverConfig, drop_levels, solve_spectra, solve_spectrum
+from qgraph.solver import drop_levels, solve_spectra, solve_spectrum
 from qgraph.stats import (
     SpacingSample,
     fit_xi,
@@ -79,13 +79,13 @@ def gue_numerics_campaign():
 
 def test_criterion_1_analytic_spectra():
     t0 = time.time()
-    spec = solve_spectrum(interval_graph(1.0), SolverConfig(0.1, 30.5 * math.pi))
+    spec = solve_spectrum(interval_graph(1.0), (0.1, 30.5 * math.pi))
     expect = math.pi * np.arange(1, spec.count + 1)
     rel = np.abs(spec.expanded() / expect - 1.0).max()
     assert spec.count >= 30
     assert rel < ANALYTIC_RTOL
 
-    loop = solve_spectrum(loop_graph(1.0), SolverConfig(0.1, 15.5 * 2 * math.pi))
+    loop = solve_spectrum(loop_graph(1.0), (0.1, 15.5 * 2 * math.pi))
     expect_loop = 2 * math.pi * np.arange(1, loop.wavenumbers.size + 1)
     assert np.all(loop.multiplicities == 2)
     rel_loop = np.abs(loop.wavenumbers / expect_loop - 1.0).max()
@@ -97,17 +97,13 @@ def test_criterion_1_analytic_spectra():
 
 def test_criterion_2_weyl_count_reproduction():
     t0 = time.time()
-    goe = solve_spectrum(
-        preset("goe_a").graph, SolverConfig(k_from_ghz(0.01), k_from_ghz(2.5))
-    )
+    goe = solve_spectrum(preset("goe_a").graph, (k_from_ghz(0.01), k_from_ghz(2.5)))
     t_goe = time.time() - t0
     assert GOE_COUNT_RANGE[0] <= goe.count <= GOE_COUNT_RANGE[1]
     assert t_goe < SOLVE_TIME_LIMIT
 
     t0 = time.time()
-    gue = solve_spectrum(
-        preset("gue").graph, SolverConfig(k_from_ghz(0.8), k_from_ghz(2.5))
-    )
+    gue = solve_spectrum(preset("gue").graph, (k_from_ghz(0.8), k_from_ghz(2.5)))
     t_gue = time.time() - t0
     assert GUE_COUNT_RANGE[0] <= gue.count <= GUE_COUNT_RANGE[1]
     assert t_gue < SOLVE_TIME_LIMIT
@@ -198,9 +194,9 @@ def test_criterion_6_gue_statistics(gue_numerics_campaign):
 
 
 def test_criterion_7_phase_reversal():
-    cfg = SolverConfig(k_from_ghz(0.8), k_from_ghz(2.5))
+    window = (k_from_ghz(0.8), k_from_ghz(2.5))
     graph = preset("gue").graph
-    plus, minus = solve_spectra([graph, negate_phases(graph)], cfg)
+    plus, minus = solve_spectra([graph, negate_phases(graph)], window)
     assert plus.count == minus.count
     gap = np.abs(plus.expanded() - minus.expanded()).max()
     assert gap <= PHASE_REVERSAL_TOL
@@ -258,10 +254,10 @@ def test_criterion_10_oracle_equivalence():
     worst = 0.0
     for trial in range(5):
         graph = random_k4(rng, phase_scale=1.0 if trial == 4 else 0.0)
-        cfg = SolverConfig(0.05, 25.0)
-        spec = solve_spectrum(graph, cfg)
+        window = (0.05, 25.0)
+        spec = solve_spectrum(graph, window)
         oracle = fd_oracle_spectrum(graph, ORACLE_POINTS, 14)
-        oracle = oracle[oracle > cfg.k_min][:10]
+        oracle = oracle[oracle > window[0]][:10]
         mine = spec.expanded()[:10]
         assert mine.size == 10 and oracle.size == 10
         # O(h^2) oracle error: relative lambda error ~ (k h)^2 / 12

@@ -12,7 +12,7 @@ import pytest
 import qgraph
 from qgraph.cli import main
 from qgraph.ensemble import gue_numerics_plan, run_campaign
-from qgraph.graphs import Edge, MetricGraph, save_graph
+from qgraph.graphs import Edge, MetricGraph, load_graph, save_graph
 from qgraph.presets import preset
 from qgraph.stats import SpacingSample, fit_xi, sample_transition
 from qgraph import io as qio
@@ -88,6 +88,49 @@ def test_validate_refuses_wrong_json_types(tmp_path, capsys, edit, named):
     assert main(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+# a one-edge graph file as text, so that a key can be repeated
+EDGE = '{"id": 1, "u": 0, "v": 1, "length_m": 1.0%s}'
+GRAPH = '{"version": 1, "vertices": [0, 1], "edges": [%s]%s}'
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        (GRAPH % (EDGE % ', "phase": 2.0', ""), "an edge entry: unexpected key(s) ['phase']"),
+        (GRAPH % (EDGE % "", ', "label": "x"'), "a graph file: unexpected key(s) ['label']"),
+        (GRAPH % ('{"id": 1, "u": 0, "v": 1}', ""), "an edge entry: missing key(s) ['length_m']"),
+        ('{"version": 1, "vertices": [0, 1]}', "a graph file: missing key(s) ['edges']"),
+        (GRAPH % (EDGE % ', "phase_per_m": 2.0, "phase_per_m": 0.0', ""),
+         "graph file repeats key 'phase_per_m'"),
+        (GRAPH % (EDGE % "", ', "edges": []'), "graph file repeats key 'edges'"),
+    ],
+    ids=["edge-unknown", "top-unknown", "edge-missing", "top-missing", "edge-repeat", "top-repeat"],
+)
+def test_graph_file_refuses_unknown_missing_and_repeated_keys(tmp_path, capsys, text, named):
+    # a misspelt "phase" for phase_per_m would load a broken-time-reversal
+    # graph as time-reversal invariant, and json keeps the last of repeated
+    # keys: both are input errors for validate and solve alike
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert main(["solve", str(path), "--window-k", "0.1:10", "--out", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_validate_and_solve_report_an_overflowing_total_length(tmp_path, capsys):
+    # each length is finite, but their sum is not a float
+    edges = (Edge(1, 0, 1, 1e308), Edge(2, 1, 0, 1e308))
+    path = tmp_path / "huge.json"
+    save_graph(MetricGraph(vertices=(0, 1), edges=edges), path)
+    assert main(["validate", str(path)]) == 2
+    assert "total length overflows a float" in capsys.readouterr().out
+    assert main(["solve", str(path), "--window-k", "0.1:10", "--out", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid graph") and "total length overflows a float" in err
 
 
 def test_validate_disconnected(tmp_path):
@@ -414,6 +457,8 @@ SWEEP = {"grow_edge": 1, "shrink_edge": 2, "step_delta": 0.005, "step_count": 2,
         ({"presets": ["gue"], "label": "run"}, "['label']"),
         ({"presets": ["goe_a", "gue"]},
          "presets goe_a, gue have different windows; give window_ghz or window_k"),
+        ({"graph_file": "g.json", "sweep": {**SWEEP, "grow_edge": 2}},
+         "from_edge and to_edge must differ"),
     ],
 )
 def test_campaign_refuses_malformed_manifest(tmp_path, monkeypatch, capsys, manifest, named):
@@ -468,6 +513,16 @@ def test_solve_equilateral_k5_is_complete(tmp_path, capsys):
     assert main(["solve", str(path), "--window-k", "0.5:40", "--out", str(tmp_path / "k5.csv")]) == 0
     out = capsys.readouterr().out
     assert "max |N_fl| = 5.52" in out and "status ok" in out
+
+
+def test_campaign_needs_an_output_directory(tmp_path, monkeypatch, capsys):
+    # neither --out nor out_dir: an input error before anything is solved or
+    # written
+    monkeypatch.chdir(tmp_path)
+    Path("manifest.json").write_text(json.dumps({"presets": ["goe_a"]}))
+    assert main(["campaign", "manifest.json"]) == 2
+    assert capsys.readouterr().err.startswith("error: no output directory")
+    assert sorted(os.listdir(tmp_path)) == ["manifest.json"]
 
 
 def test_campaign_empty_manifest(tmp_path):
@@ -571,6 +626,32 @@ def test_fit_xi_rejects_nan_row(tmp_path, rng, capsys):
 
 def test_preset_unknown(tmp_path):
     assert main(["preset", "dump", "nope", "--out", str(tmp_path / "x.json")]) == 2
+
+
+def test_preset_list(capsys):
+    assert main(["preset", "list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.partition(":")[0] for line in lines] == ["goe_a", "goe_b", "gue"]
+    assert lines[0].startswith(f"goe_a: total length {preset('goe_a').graph.total_length:.4f} m; ")
+
+
+def test_preset_dump_round_trips(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    assert main(["preset", "dump", "goe_a", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == f"wrote goe_a to {path}\n  wrote {path}\n"
+    graph, back = preset("goe_a").graph, load_graph(path)
+    # lengths and phases bit for bit: the file keeps every float's repr
+    assert [(e.id, e.u, e.v, e.length, e.phase_per_m) for e in back.edges] == [
+        (e.id, e.u, e.v, e.length, e.phase_per_m) for e in graph.edges
+    ]
+    assert back.vertices == graph.vertices and back.metadata == graph.metadata
+
+
+def test_preset_dump_needs_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["preset", "dump", "goe_a"]) == 2
+    assert capsys.readouterr().err == "error: preset dump needs --out FILE\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_runtime_needs_no_scipy(tmp_path):

@@ -13,12 +13,10 @@ from qgraph.ensemble import (
     load_manifest,
     plan_from_manifest,
     randomized_ensemble,
-    randomized_plan,
     run_campaign,
 )
-from qgraph.graphs import SweepSpec, generate_configurations, save_graph
+from qgraph.graphs import SweepSpec, edge_switch, generate_configurations, save_graph
 from qgraph.presets import gue_numerics_window, preset
-from qgraph.solver import SolverConfig
 from qgraph.units import k_from_ghz
 
 from conftest import random_k4
@@ -30,7 +28,7 @@ def small_sweep_plan(names=("goe_a",), step_count=2):
     for name in names:
         p = preset(name)
         pairs += generate_configurations(p.graph, replace(p.sweep, step_count=step_count))
-    return CampaignPlan(tuple(pairs), SolverConfig(k_from_ghz(0.01), k_from_ghz(1.0)))
+    return CampaignPlan(tuple(pairs), (k_from_ghz(0.01), k_from_ghz(1.0)))
 
 
 def test_generate_configurations_goe_a():
@@ -125,7 +123,7 @@ def test_campaign_combined_sweeps_pair_count():
 def test_plan_from_manifest_window_holds_for_every_preset():
     # presets with different windows run together under the manifest's
     plan = plan_from_manifest({"presets": ["goe_a", "gue"], "window_ghz": [0.8, 2.5]})
-    assert plan.solver == preset("gue").window and len(plan.pairs) == 19
+    assert plan.window == preset("gue").window and len(plan.pairs) == 19
 
 
 def test_campaign_pooled_shift_is_pair_average():
@@ -144,9 +142,7 @@ def test_campaign_degenerate_levels_degrade_pair():
     regular = p.graph.with_edges(
         tuple(replace(e, length=0.5, phase_per_m=0.0) for e in p.graph.edges)
     )
-    plan = randomized_plan(
-        regular, p.sweep.switch, SolverConfig(0.1, 30.0), 1, 0.0, 1, "regular"
-    )
+    plan = CampaignPlan(((regular, edge_switch(regular, p.sweep.switch)),), (0.1, 30.0))
     result = run_campaign(plan, workers=1)
     assert result.degraded and result.degraded_pairs == (0,)
     pair = result.pairs[0]
@@ -163,10 +159,9 @@ def test_campaign_sparse_window_degrades_pair(k_max, levels):
     # a side with fewer than two levels has no spacing to unfold (and an
     # empty one no interlacing partner): the pair is degraded, keeps its
     # spectra and leaves the spacing pool, and the campaign still completes
-    p = preset("goe_a")
-    plan = randomized_plan(
-        p.graph, p.sweep.switch, SolverConfig(0.1, k_max), 1, 0.0, 1, "goe_a"
-    )
+    plan = plan_from_manifest({
+        "preset": "goe_a", "randomized": {"count": 1, "jitter": 0.0}, "window_k": [0.1, k_max],
+    })
     result = run_campaign(plan, workers=1)
     assert result.degraded and result.degraded_pairs == (0,)
     pair = result.pairs[0]
@@ -190,7 +185,7 @@ def test_plan_from_manifest_presets(tmp_path):
     manifest = {"presets": ["goe_a", "goe_b"], "window_ghz": [0.01, 1.0]}
     plan = plan_from_manifest(manifest)
     assert len(plan.pairs) == 22
-    assert plan.solver.k_max == pytest.approx(k_from_ghz(1.0))
+    assert plan.window[1] == pytest.approx(k_from_ghz(1.0))
 
 
 def test_plan_from_manifest_randomized():
@@ -231,7 +226,7 @@ def test_plan_from_manifest_graph_file_sweep(tmp_path):
     }
     plan = plan_from_manifest(manifest)
     assert len(plan.pairs) == sweep.step_count + 1
-    assert (plan.solver.k_min, plan.solver.k_max) == (k_from_ghz(0.01), k_from_ghz(2.5))
+    assert plan.window == (k_from_ghz(0.01), k_from_ghz(2.5))
     assert plan.provenance["mode"] == "sweep"
     assert [(b.canonical_edges(), a.canonical_edges()) for b, a in plan.pairs] == [
         (b.canonical_edges(), a.canonical_edges())
@@ -240,17 +235,18 @@ def test_plan_from_manifest_graph_file_sweep(tmp_path):
 
 
 def test_gue_numerics_plan_matches_manifest():
-    # the manifest route gives the plan of the jittered gue preset itself
+    # the manifest route gives the jittered gue preset itself, each copy
+    # paired with its switch image
     plan = gue_numerics_plan(count=6, seed=5)
     p = preset("gue")
-    again = randomized_plan(
-        p.graph, p.sweep.switch, SolverConfig(*gue_numerics_window()), 6, 0.02, 5, "gue"
-    )
+    again = randomized_ensemble(p.graph, 6, 0.02, 5)
     assert [(b.canonical_edges(), a.canonical_edges()) for b, a in plan.pairs] == [
-        (b.canonical_edges(), a.canonical_edges()) for b, a in again.pairs
+        (g.canonical_edges(), edge_switch(g, p.sweep.switch).canonical_edges()) for g in again
     ]
-    assert plan.solver == again.solver
-    assert plan.provenance == again.provenance
+    assert plan.window == gue_numerics_window()
+    assert plan.provenance == {
+        "source": "gue", "mode": "randomized", "count": 6, "jitter": 0.02, "seed": 5,
+    }
 
 
 def test_plan_from_manifest_rejects_garbage(tmp_path):

@@ -221,7 +221,7 @@ def test_preset_pinned(name):
     s = p.sweep
     assert (s.grow_edge, s.shrink_edge, s.step_delta, s.step_count) == sweep
     assert (s.switch.pivot, s.switch.edge_a, s.switch.edge_b) == switch
-    assert (p.window.k_min, p.window.k_max) == window
+    assert p.window == window
     assert p.graph.metadata == {"preset": name}
 
 

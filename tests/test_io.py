@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from qgraph import io as qio
 from qgraph.ensemble import CampaignPlan, run_campaign
 from qgraph.graphs import generate_configurations
-from qgraph.solver import SolverConfig, Spectrum, solve_spectrum
+from qgraph.solver import Spectrum, solve_spectrum
 from qgraph.presets import preset
 from qgraph.stats import (
     MIN_FIT_SPACINGS,
@@ -27,7 +27,7 @@ from conftest import make_spectrum, three_star
 
 @pytest.fixture(scope="module")
 def spectrum():
-    return solve_spectrum(three_star(), SolverConfig(0.1, 20.0))
+    return solve_spectrum(three_star(), (0.1, 20.0))
 
 
 def test_spectrum_csv_roundtrip(tmp_path, spectrum):
@@ -43,7 +43,7 @@ def test_spectrum_csv_roundtrip(tmp_path, spectrum):
 
 
 def test_shift_csv_roundtrip(tmp_path, spectrum):
-    other = solve_spectrum(three_star((1.02, 0.7, 0.48)), SolverConfig(0.1, 20.0))
+    other = solve_spectrum(three_star((1.02, 0.7, 0.48)), (0.1, 20.0))
     shift = pool_shift_distributions(
         [shift_distribution(spectrum, other), shift_distribution(other, spectrum)]
     )
@@ -84,7 +84,7 @@ def test_spacings_csv_roundtrip(tmp_path, spectrum, rng):
 
 
 def test_counting_csv_roundtrip(tmp_path, spectrum):
-    other = solve_spectrum(three_star((1.02, 0.7, 0.48)), SolverConfig(0.1, 20.0))
+    other = solve_spectrum(three_star((1.02, 0.7, 0.48)), (0.1, 20.0))
     path = tmp_path / "counting.csv"
     qio.write_counting_csv(path, spectrum, other)
     back = qio.read_counting_csv(path)
@@ -222,7 +222,7 @@ def test_header_mismatch_rejected(tmp_path):
 def test_emit_campaign_outputs(tmp_path):
     p = preset("goe_a")
     pairs = generate_configurations(p.graph, replace(p.sweep, step_count=1))
-    plan = CampaignPlan(tuple(pairs), SolverConfig(k_from_ghz(0.01), k_from_ghz(1.0)))
+    plan = CampaignPlan(tuple(pairs), (k_from_ghz(0.01), k_from_ghz(1.0)))
     result = run_campaign(plan, workers=1)
     paths = qio.emit_campaign_outputs(result, tmp_path, manifest={"presets": ["goe_a"]})
     names = {p.split("/")[-1] for p in paths}

@@ -12,8 +12,8 @@ from qgraph.presets import preset
 from qgraph.solver import (
     RESIDUAL_THRESHOLD,
     ROOT_TOLERANCE,
-    SolverConfig,
     _Batch,
+    check_window,
     drop_levels,
     solve_spectra,
     solve_spectrum,
@@ -90,7 +90,7 @@ def test_secular_residual_loop_double_root():
 
 
 def test_interval_spectrum():
-    spec = solve_spectrum(interval_graph(), SolverConfig(0.1, 10.0))
+    spec = solve_spectrum(interval_graph(), (0.1, 10.0))
     assert np.allclose(spec.expanded(), math.pi * np.arange(1, 4), rtol=1e-9)
     assert list(spec.multiplicities) == [1, 1, 1]
     assert spec.complete and spec.status == "ok"
@@ -98,10 +98,10 @@ def test_interval_spectrum():
 
 def test_window_is_half_open_at_edge_eigenvalues():
     # (k_min, k_max]: an eigenvalue on k_min is left out, one on k_max kept
-    above = solve_spectrum(interval_graph(), SolverConfig(math.pi, 10.0))
+    above = solve_spectrum(interval_graph(), (math.pi, 10.0))
     assert np.allclose(above.expanded(), [2 * math.pi, 3 * math.pi], rtol=1e-9)
     assert above.status == "ok" and above.complete
-    upto = solve_spectrum(interval_graph(), SolverConfig(0.1, 3 * math.pi))
+    upto = solve_spectrum(interval_graph(), (0.1, 3 * math.pi))
     assert np.allclose(upto.expanded(), math.pi * np.arange(1, 4), rtol=1e-9)
     assert upto.status == "ok" and upto.complete
 
@@ -114,13 +114,13 @@ def test_window_edges_within_a_tolerance_of_levels(name):
     # split the levels between them
     p = preset(name)
     ref = solve_spectrum(p.graph, p.window)
-    cfg = replace(p.window, k_max=float(ref.wavenumbers[8:10].mean()))
-    want = ref.expanded()[ref.expanded() <= cfg.k_max]
+    k_lo, k_hi = p.window[0], float(ref.wavenumbers[8:10].mean())
+    want = ref.expanded()[ref.expanded() <= k_hi]
     for k in ref.wavenumbers[:8]:
         for offset in (0.0, 0.25, -0.25, 0.5, -0.5, 0.9, -0.9):
             edge = k + offset * ROOT_TOLERANCE
-            upto = solve_spectrum(p.graph, replace(cfg, k_max=edge))
-            above = solve_spectrum(p.graph, replace(cfg, k_min=edge))
+            upto = solve_spectrum(p.graph, (k_lo, edge))
+            above = solve_spectrum(p.graph, (edge, k_hi))
             assert upto.status == above.status == "ok"
             got = np.concatenate((upto.expanded(), above.expanded()))
             assert got.size == want.size
@@ -130,10 +130,10 @@ def test_window_edges_within_a_tolerance_of_levels(name):
 def test_roots_on_scan_grid_points():
     # both windows get the 9-point minimum grid, steps of pi/4 and pi/2,
     # which puts scan points on every root
-    spec = solve_spectrum(interval_graph(), SolverConfig(math.pi / 2, 2.5 * math.pi))
+    spec = solve_spectrum(interval_graph(), (math.pi / 2, 2.5 * math.pi))
     assert np.allclose(spec.expanded(), [math.pi, 2 * math.pi], rtol=1e-9)
     assert spec.status == "ok"
-    loop = solve_spectrum(loop_graph(), SolverConfig(math.pi, 5 * math.pi))
+    loop = solve_spectrum(loop_graph(), (math.pi, 5 * math.pi))
     assert np.allclose(loop.wavenumbers, [2 * math.pi, 4 * math.pi], rtol=1e-9)
     assert list(loop.multiplicities) == [2, 2] and loop.status == "ok"
 
@@ -141,9 +141,9 @@ def test_roots_on_scan_grid_points():
 def test_zero_mode_window_rejected():
     # k = 0 is the Neumann constant mode, not a root of the secular equation
     with pytest.raises(ValueError):
-        SolverConfig(0.0, 10.5).check()
+        check_window((0.0, 10.5))
     with pytest.raises(ValueError):
-        solve_spectrum(interval_graph(), SolverConfig(0.0, 10.5))
+        solve_spectrum(interval_graph(), (0.0, 10.5))
 
 
 SPLIT_RINGS = [
@@ -163,7 +163,7 @@ def test_split_ring_pairs_resolved(alpha, short):
         vertices=(0, 1),
         edges=(Edge(1, 0, 1, short, alpha), Edge(2, 1, 0, 1.0 - short, alpha)),
     )
-    spec = solve_spectrum(ring, SolverConfig(0.1, 40.0))
+    spec = solve_spectrum(ring, (0.1, 40.0))
     n = 2 * math.pi * np.arange(1, 7)
     expect = np.sort(np.concatenate([n - alpha, n + alpha]))
     assert spec.count == 12
@@ -193,7 +193,7 @@ def test_numerics_solve_kernel_budget(monkeypatch):
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svd_calls.append(1) or svd(*a, **kw))
     plan = gue_numerics_plan(count=1, seed=5)
-    spec = solve_spectrum(plan.pairs[0][0], plan.solver)
+    spec = solve_spectrum(plan.pairs[0][0], plan.window)
     assert spec.status == "ok" and spec.complete
     assert len(calls) <= 40
     assert sum(points) <= 10 * spec.count
@@ -286,7 +286,7 @@ def loopy_graphs(draw):
 def test_window_counts_match_both_counts_property(graph, cuts):
     # every level count of a verified spectrum over a sub-window equals the
     # eigenphase-winding difference and the vertex-count difference
-    spec = solve_spectrum(graph, SolverConfig(0.1, 12.0))
+    spec = solve_spectrum(graph, (0.1, 12.0))
     assume(spec.status == "ok")
     levels = spec.expanded()
     cuts = np.array([k for k in cuts if np.abs(levels - k).min(initial=1.0) > 1e-6])
@@ -325,9 +325,9 @@ def test_spectrum_invariant_under_edge_order_and_orientation(graph, data):
         replace(e, u=e.v, v=e.u, phase_per_m=-e.phase_per_m) if flip else e
         for e, flip in zip(order, flips)
     )
-    cfg = SolverConfig(0.1, 12.0)
-    a, reversed_phases = solve_spectra([graph, negate_phases(graph)], cfg)
-    for b in (solve_spectrum(graph.with_edges(edges), cfg), reversed_phases):
+    window = (0.1, 12.0)
+    a, reversed_phases = solve_spectra([graph, negate_phases(graph)], window)
+    for b in (solve_spectrum(graph.with_edges(edges), window), reversed_phases):
         assert a.status == b.status
         assert a.count == b.count
         assert np.array_equal(a.multiplicities, b.multiplicities)
@@ -349,7 +349,7 @@ def test_switch_pairs_interlace_at_level_one_property(graph, data):
     # the theorem counts from the bottom of the spectrum, and so does the
     # degree, through levels_below (a magnetic ground state can lie below
     # k_min on one side only)
-    before, after = solve_spectra([graph, switched], SolverConfig(0.1, 12.0))
+    before, after = solve_spectra([graph, switched], (0.1, 12.0))
     assume(before.status == after.status == "ok")
     assert interlacing_degree(before, after) <= 1
 
@@ -360,7 +360,7 @@ def test_solve_spectra_bit_identical_to_solving_alone(rng, monkeypatch):
     # switch pairs of the presets, a regular tetrahedron with multiple
     # levels and a near-regular one whose search counts points next to a
     # pole by eigenphases
-    cfg = SolverConfig(0.1, 40.0)
+    window = (0.1, 40.0)
     graphs = []
     for name in ("gue", "goe_a", "goe_b"):
         p = preset(name)
@@ -376,17 +376,17 @@ def test_solve_spectra_bit_identical_to_solving_alone(rng, monkeypatch):
         return eigenphases(ks, *rest)
 
     monkeypatch.setattr(kernels, "eigenphases", counted)
-    alone = [solve_spectrum(g, cfg) for g in graphs]
+    alone = [solve_spectrum(g, window) for g in graphs]
     assert len(calls) > len(graphs)  # more than one verification call each
     assert alone[-2].multiplicities.max() > 1
 
-    together = solve_spectra(graphs, cfg)
+    together = solve_spectra(graphs, window)
     # no scan cell spans two graphs' grids, also where the next graph's
     # winding at k_min exceeds this graph's at k_max: such a cell would
     # put the count difference on the window's midpoint, 2.5, which is a
     # level of the 8 pi interval
     short, long = interval_graph(1.0), interval_graph(8.0 * math.pi)
-    narrow = SolverConfig(2.0, 3.0)
+    narrow = (2.0, 3.0)
     together += solve_spectra([short, long], narrow)
     alone += [solve_spectrum(short, narrow), solve_spectrum(long, narrow)]
     for a, b in zip(together, alone, strict=True):
@@ -404,7 +404,7 @@ def test_phase_count_mixing_owners_matches_each_graph_alone(rng):
     # batch of its graph alone does, at the default band and a given one;
     # each graph's levels are among the points, so roots are marked
     graphs = [random_k4(rng, phase_scale=1.0) for _ in range(3)] + [preset("gue").graph]
-    levels = [solve_spectrum(g, SolverConfig(0.1, 10.0)).wavenumbers for g in graphs]
+    levels = [solve_spectrum(g, (0.1, 10.0)).wavenumbers for g in graphs]
     ks = np.concatenate([rng.uniform(0.1, 60.0, size=200)] + levels)
     owner = np.concatenate(
         [rng.integers(0, len(graphs), size=200)]
@@ -424,12 +424,12 @@ def test_phase_count_mixing_owners_matches_each_graph_alone(rng):
 
 
 def test_solve_spectra_needs_one_vertex_and_edge_count():
-    cfg = SolverConfig(0.1, 10.0)
+    window = (0.1, 10.0)
     with pytest.raises(ValueError):
-        solve_spectra([preset("goe_a").graph, three_star()], cfg)  # 6 and 3 edges
+        solve_spectra([preset("goe_a").graph, three_star()], window)  # 6 and 3 edges
     with pytest.raises(ValueError):
-        solve_spectra([interval_graph(), loop_graph()], cfg)  # 2 and 1 vertices
-    assert solve_spectra([], cfg) == []
+        solve_spectra([interval_graph(), loop_graph()], window)  # 2 and 1 vertices
+    assert solve_spectra([], window) == []
 
 
 def test_coarse_default_scan_matches_fine_scan(rng):
@@ -439,10 +439,10 @@ def test_coarse_default_scan_matches_fine_scan(rng):
     # 9-point minimum grid, a step of at most pi / (8 L)
     for _ in range(20):
         g = random_k4(rng, phase_scale=1.0)
-        coarse = solve_spectrum(g, SolverConfig(0.1, 40.0))
+        coarse = solve_spectrum(g, (0.1, 40.0))
         n = math.ceil((40.0 - 0.1) * g.total_length / math.pi)
         edges = np.linspace(0.1, 40.0, n + 1)
-        parts = [solve_spectrum(g, SolverConfig(lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+        parts = [solve_spectrum(g, (lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])]
         assert coarse.status == "ok" and all(part.status == "ok" for part in parts)
         fine_ks = np.concatenate([part.wavenumbers for part in parts])
         fine_mults = np.concatenate([part.multiplicities for part in parts])
@@ -456,14 +456,14 @@ def test_spectra_match_eigvals_kernel(rng, monkeypatch):
     # eigvals phases, which verify every solve and count the points next to
     # a pole: phased random K4 graphs and near-regular tetrahedra, whose
     # close levels put phase pairs near zero together
-    cases = [(random_k4(rng, phase_scale=1.0), SolverConfig(0.1, 40.0)) for _ in range(20)]
+    cases = [(random_k4(rng, phase_scale=1.0), (0.1, 40.0)) for _ in range(20)]
     for spread in (1e-7, 4e-3):
         for _ in range(3):
-            cases.append((_tetrahedron(rng, spread), SolverConfig(0.1, 60.0)))
-    cayley = [solve_spectrum(g, cfg) for g, cfg in cases]
+            cases.append((_tetrahedron(rng, spread), (0.1, 60.0)))
+    cayley = [solve_spectrum(g, window) for g, window in cases]
     monkeypatch.setattr(kernels, "eigenphases", eigvals_eigenphases)
-    for (g, cfg), got in zip(cases, cayley):
-        want = solve_spectrum(g, cfg)
+    for (g, window), got in zip(cases, cayley):
+        want = solve_spectrum(g, window)
         assert got.status == want.status == "ok"
         assert got.count == want.count
         assert np.array_equal(got.multiplicities, want.multiplicities)
@@ -471,7 +471,7 @@ def test_spectra_match_eigvals_kernel(rng, monkeypatch):
 
 
 def test_loop_spectrum_degenerate():
-    spec = solve_spectrum(loop_graph(), SolverConfig(0.1, 14.0))
+    spec = solve_spectrum(loop_graph(), (0.1, 14.0))
     assert np.allclose(spec.wavenumbers, 2 * math.pi * np.arange(1, 3), rtol=1e-9)
     assert list(spec.multiplicities) == [2, 2]
 
@@ -479,32 +479,30 @@ def test_loop_spectrum_degenerate():
 def test_analytic_spectra_random_lengths(rng):
     for _ in range(20):
         length = float(rng.uniform(0.3, 2.5))
-        spec = solve_spectrum(interval_graph(length), SolverConfig(0.1, 12.0 / length))
+        spec = solve_spectrum(interval_graph(length), (0.1, 12.0 / length))
         n = np.arange(1, spec.count + 1)
         assert np.abs(spec.expanded() - n * math.pi / length).max() < 1e-9
-        lspec = solve_spectrum(loop_graph(length), SolverConfig(0.1, 16.0 / length))
+        lspec = solve_spectrum(loop_graph(length), (0.1, 16.0 / length))
         expect = 2 * math.pi * np.arange(1, lspec.wavenumbers.size + 1) / length
         assert np.abs(lspec.wavenumbers - expect).max() < 1e-9
         assert all(m == 2 for m in lspec.multiplicities)
 
 
 def test_three_star_matches_dense_scan_oracle():
-    spec = solve_spectrum(three_star(), SolverConfig(0.1, 20.0))
+    spec = solve_spectrum(three_star(), (0.1, 20.0))
     assert spec.count == THREE_STAR_ORACLE.size
     assert np.abs(spec.expanded() - THREE_STAR_ORACLE).max() < 1e-8
 
 
 def test_goe_a_window_count():
-    spec = solve_spectrum(
-        preset("goe_a").graph, SolverConfig(k_from_ghz(0.01), k_from_ghz(2.5))
-    )
+    spec = solve_spectrum(preset("goe_a").graph, (k_from_ghz(0.01), k_from_ghz(2.5)))
     assert 35 <= spec.count <= 38
     assert spec.status == "ok" and spec.complete
 
 
 def test_residuals_below_threshold():
-    cfg = SolverConfig(0.1, 20.0)
-    spec = solve_spectrum(three_star(), cfg)
+    window = (0.1, 20.0)
+    spec = solve_spectrum(three_star(), window)
     assert spec.residuals.max() <= RESIDUAL_THRESHOLD
 
 
@@ -513,11 +511,11 @@ def test_residuals_match_secular_residual(name):
     # the residual from the nearest eigenphase is the smallest singular
     # value of I - U that the SVD reference computes
     if name in ("gue", "goe_a"):
-        graph, cfg = preset(name).graph, preset(name).window
+        graph, window = preset(name).graph, preset(name).window
     else:
         graph = loop_graph() if name == "loop" else three_star()
-        cfg = SolverConfig(0.1, 20.0)
-    spec = solve_spectrum(graph, cfg)
+        window = (0.1, 20.0)
+    spec = solve_spectrum(graph, window)
     assert spec.status == "ok" and spec.wavenumbers.size > 2
     want = [secular_residual(graph, k) for k in spec.wavenumbers]
     assert np.abs(spec.residuals - want).max() < 1e-12
@@ -536,7 +534,7 @@ def test_fd_oracle_loop_degenerate_pair():
 def test_fd_oracle_agrees_with_solver_on_preset():
     g = preset("goe_a").graph
     oracle = fd_oracle_spectrum(g, 2000, 12)
-    spec = solve_spectrum(g, SolverConfig(k_from_ghz(0.01), k_from_ghz(2.5)))
+    spec = solve_spectrum(g, (k_from_ghz(0.01), k_from_ghz(2.5)))
     oracle = oracle[oracle > spec.window[0]][:10]
     mine = spec.expanded()[:10]
     assert np.abs(mine - oracle).max() < 1e-3 * oracle.max()
@@ -551,28 +549,28 @@ def test_fd_oracle_validates_input():
 
 def test_phase_reversal_symmetry():
     g = preset("gue").graph
-    cfg = SolverConfig(k_from_ghz(0.8), k_from_ghz(1.6))
-    plus, minus = solve_spectra([g, negate_phases(g)], cfg)
+    window = (k_from_ghz(0.8), k_from_ghz(1.6))
+    plus, minus = solve_spectra([g, negate_phases(g)], window)
     assert plus.count == minus.count
     assert np.abs(plus.expanded() - minus.expanded()).max() <= 2 * ROOT_TOLERANCE
 
 
 def test_phase_reversal_identity_without_phases():
     g = preset("goe_a").graph
-    cfg = SolverConfig(0.5, 15.0)
-    plus, minus = solve_spectra([g, negate_phases(g)], cfg)
+    window = (0.5, 15.0)
+    plus, minus = solve_spectra([g, negate_phases(g)], window)
     assert np.array_equal(plus.wavenumbers, minus.wavenumbers)
 
 
 def test_doubling_the_phases_moves_levels():
     g = preset("gue").graph
-    cfg = SolverConfig(k_from_ghz(0.8), k_from_ghz(1.6))
-    base = solve_spectrum(g, cfg)
+    window = (k_from_ghz(0.8), k_from_ghz(1.6))
+    base = solve_spectrum(g, window)
     doubled = solve_spectrum(
         g.with_edges(
             tuple(Edge(e.id, e.u, e.v, e.length, 2 * e.phase_per_m) for e in g.edges)
         ),
-        cfg,
+        window,
     )
     n = min(base.count, doubled.count)
     shift = np.abs(base.expanded()[:n] - doubled.expanded()[:n]).max()
@@ -580,10 +578,10 @@ def test_doubling_the_phases_moves_levels():
 
 
 def test_determinism_bit_identical():
-    cfg = SolverConfig(k_from_ghz(0.01), k_from_ghz(2.5))
+    window = (k_from_ghz(0.01), k_from_ghz(2.5))
     g = preset("goe_a").graph
-    a = solve_spectrum(g, cfg)
-    b = solve_spectrum(g, cfg)
+    a = solve_spectrum(g, window)
+    b = solve_spectrum(g, window)
     assert np.array_equal(a.wavenumbers, b.wavenumbers)
     assert np.array_equal(a.residuals, b.residuals)
     assert a.nfl_max == b.nfl_max
@@ -591,7 +589,7 @@ def test_determinism_bit_identical():
 
 def test_drop_levels_flags_incomplete():
     g = preset("goe_a").graph
-    spec = solve_spectrum(g, SolverConfig(k_from_ghz(0.01), k_from_ghz(2.5)))
+    spec = solve_spectrum(g, (k_from_ghz(0.01), k_from_ghz(2.5)))
     assert spec.complete
     # dropping enough consecutive levels must push |N_fl| past the bound
     faulted = drop_levels(spec, list(range(10, 14)))
@@ -601,22 +599,19 @@ def test_drop_levels_flags_incomplete():
 
 
 def test_drop_levels_validates_index():
-    spec = solve_spectrum(interval_graph(), SolverConfig(0.1, 10.0))
+    spec = solve_spectrum(interval_graph(), (0.1, 10.0))
     with pytest.raises(ValueError):
         drop_levels(spec, [99])
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(5.0, 1.0).check()
-    with pytest.raises(ValueError):
-        SolverConfig(-1.0, 1.0).check()
-    for k_min, k_max in ((0.1, math.inf), (0.1, math.nan), (math.nan, 1.0)):
-        with pytest.raises(ValueError):
-            SolverConfig(k_min, k_max).check()
+def test_check_window_refuses_bad_windows():
+    for window in ((5.0, 1.0), (-1.0, 1.0), (0.1, math.inf), (0.1, math.nan), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="need 0 < k_min < k_max, both finite"):
+            check_window(window)
+    check_window((0.1, 1.0))
 
 
 def test_solve_rejects_invalid_graph():
     bad = MetricGraph(vertices=(0, 1), edges=(Edge(1, 0, 1, -1.0),))
     with pytest.raises(ValueError):
-        solve_spectrum(bad, SolverConfig(0.1, 5.0))
+        solve_spectrum(bad, (0.1, 5.0))

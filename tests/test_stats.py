@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qgraph.solver import SolverConfig, drop_levels, solve_spectrum
+from qgraph.solver import drop_levels, solve_spectrum
 from qgraph.presets import preset
 from qgraph import stats
 from qgraph.stats import (
@@ -80,9 +80,7 @@ def test_fluctuating_count_detects_deletion():
 
 
 def test_fluctuating_count_goe_a_bound():
-    spec = solve_spectrum(
-        preset("goe_a").graph, SolverConfig(k_from_ghz(0.01), k_from_ghz(2.5))
-    )
+    spec = solve_spectrum(preset("goe_a").graph, (k_from_ghz(0.01), k_from_ghz(2.5)))
     assert spec.nfl_max <= 3.0
 
 
@@ -250,12 +248,12 @@ def test_interlacing_equals_max_shift(rng):
 
 
 def _goe_pair():
-    cfg = SolverConfig(k_from_ghz(0.01), k_from_ghz(2.5))
+    window = (k_from_ghz(0.01), k_from_ghz(2.5))
     from qgraph.graphs import edge_switch
 
     p = preset("goe_a")
-    before = solve_spectrum(p.graph, cfg)
-    after = solve_spectrum(edge_switch(p.graph, p.sweep.switch), cfg)
+    before = solve_spectrum(p.graph, window)
+    after = solve_spectrum(edge_switch(p.graph, p.sweep.switch), window)
     return before, after
 
 
