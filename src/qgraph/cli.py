@@ -36,10 +36,19 @@ class CommandOutcome:
     paths: tuple[str, ...] = ()
 
 
+def _parse_pair(flag: str, text: str, sep: str, convert) -> tuple:
+    """The two values of `flag`, written A<sep>B, each through `convert`."""
+    try:
+        first, second = map(convert, text.split(sep))
+    except ValueError:
+        raise ValueError(f"{flag} expects two values written A{sep}B, got {text!r}") from None
+    return first, second
+
+
 def _parse_window(args) -> tuple[float, float]:
-    text, to_k = (args.window_ghz, k_from_ghz) if args.window_k is None else (args.window_k, float)
-    lo, hi = (to_k(float(x)) for x in text.split(":"))
-    return lo, hi
+    if args.window_k is None:
+        return _parse_pair("--window-ghz", args.window_ghz, ":", lambda x: k_from_ghz(float(x)))
+    return _parse_pair("--window-k", args.window_k, ":", float)
 
 
 def _positive_int(text: str) -> int:
@@ -78,7 +87,7 @@ def cmd_solve(args) -> CommandOutcome:
 
 def cmd_compare(args) -> CommandOutcome:
     graph = load_graph(args.graph)
-    edge_a, edge_b = (int(x) for x in args.edges.split(","))
+    edge_a, edge_b = _parse_pair("--edges", args.edges, ",", int)
     descriptor = SwitchDescriptor(pivot=args.pivot, edge_a=edge_a, edge_b=edge_b)
     descriptor.check(graph)
     before, after = solve_spectra([graph, edge_switch(graph, descriptor)], _parse_window(args))
@@ -171,6 +180,8 @@ def cmd_preset(args) -> CommandOutcome:
                 f"{name}: total length {p.graph.total_length:.4f} m; {p.notes}"
             )
         return CommandOutcome(0, "\n".join(lines))
+    if args.name is None:
+        raise ValueError("preset dump needs a NAME; `qgraph preset list` lists them")
     p = preset(args.name)
     if not args.out:
         raise ValueError("preset dump needs --out FILE")

@@ -165,13 +165,13 @@ class CampaignResult:
 def run_campaign(plan: CampaignPlan, workers: int = 1) -> CampaignResult:
     """Solve every pair of the plan and aggregate the statistics.
 
-    The sides, in plan order, form min(workers, sides) contiguous chunks;
-    one chunk is solved in this process, several in a process pool, each
-    chunk in one `solve_spectra` call.  Degraded pairs (either side
-    incomplete, holding a multiple level or fewer than two levels) are
-    excluded from the pooled statistics but retained in the report.  When
-    every pair is degraded all of them are pooled, except that sides that
-    cannot be unfolded never enter the spacing pool.
+    The sides, in plan order, form min(workers, sides) contiguous chunks,
+    each solved in one `solve_spectra` call: a single chunk in this
+    process, or else every chunk in a process pool.  Degraded pairs
+    (either side incomplete, holding a multiple level or fewer than two
+    levels) are excluded from the pooled statistics but retained in the
+    report.  When every pair is degraded all of them are pooled, except
+    that sides that cannot be unfolded never enter the spacing pool.
     """
     sides = [graph for pair in plan.pairs for graph in pair]
     n = min(workers, len(sides))

@@ -51,19 +51,6 @@ class Edge:
     def is_loop(self) -> bool:
         return self.u == self.v
 
-    def other_end(self, vertex: int) -> int:
-        if vertex == self.u:
-            return self.v
-        if vertex == self.v:
-            return self.u
-        raise ValueError(f"vertex {vertex} is not an endpoint of edge {self.id}")
-
-    def canonical(self) -> tuple[int, int, float, float]:
-        """Orientation-independent tuple (phase sign follows min -> max)."""
-        if self.u <= self.v:
-            return (self.u, self.v, self.length, self.phase_per_m)
-        return (self.v, self.u, self.length, -self.phase_per_m)
-
 
 @dataclass(frozen=True)
 class MetricGraph:
@@ -92,10 +79,6 @@ class MetricGraph:
             if e.id == edge_id:
                 return e
         raise KeyError(f"no edge with id {edge_id}")
-
-    def canonical_edges(self) -> tuple[tuple[int, int, float, float], ...]:
-        """Sorted orientation-independent edge tuples (for equality tests)."""
-        return tuple(sorted(e.canonical() for e in self.edges))
 
     def with_edges(self, edges: tuple[Edge, ...]) -> "MetricGraph":
         return replace(self, edges=edges)
@@ -190,7 +173,7 @@ def edge_switch(graph: MetricGraph, d: SwitchDescriptor) -> MetricGraph:
     Lengths are untouched and magnetic phases are re-anchored so that the
     sign convention still runs pivot -> far endpoint; the total length is
     therefore preserved bit for bit.  Applying the same descriptor twice
-    returns a graph with an identical canonical edge multiset.
+    returns the same edges up to orientation.
     """
     d.check(graph)
     ea = graph.edge_by_id(d.edge_a)
@@ -199,8 +182,8 @@ def edge_switch(graph: MetricGraph, d: SwitchDescriptor) -> MetricGraph:
     def pivot_to_far_phase(e: Edge) -> float:
         return e.phase_per_m if e.u == d.pivot else -e.phase_per_m
 
-    far_a = ea.other_end(d.pivot)
-    far_b = eb.other_end(d.pivot)
+    far_a = ea.v if ea.u == d.pivot else ea.u
+    far_b = eb.v if eb.u == d.pivot else eb.u
     new_a = Edge(ea.id, d.pivot, far_b, ea.length, pivot_to_far_phase(ea))
     new_b = Edge(eb.id, d.pivot, far_a, eb.length, pivot_to_far_phase(eb))
     new_edges = tuple(

@@ -21,7 +21,6 @@ import numpy as np
 from .solver import Spectrum
 from .stats import (
     MIN_FIT_SPACINGS,
-    CountingFunction,
     ShiftDistribution,
     SpacingSample,
     detect_missing_resonances,
@@ -29,6 +28,7 @@ from .stats import (
     spacing_histogram,
     transition_pdf,
     wigner_pdf,
+    window_levels,
 )
 from .units import ghz_from_k
 
@@ -174,9 +174,10 @@ def write_counting_csv(path, before: Spectrum, after: Spectrum) -> None:
     The counts are window-relative, zero at k_min; add a side's
     `levels_below` to count from the bottom of the spectrum, as the
     spectral shift does."""
-    nb, na = CountingFunction(before), CountingFunction(after)
-    ks = np.unique(np.concatenate([[before.window[0]], nb.levels, na.levels, [before.window[1]]]))
-    columns = (ks.tolist(), ghz_from_k(ks).tolist(), nb(ks).tolist(), na(ks).tolist())
+    a, b = window_levels(before), window_levels(after)
+    ks = np.unique(np.concatenate([[before.window[0]], a, b, [before.window[1]]]))
+    n_before, n_after = (np.searchsorted(side, ks, "right").astype(float) for side in (a, b))
+    columns = (ks.tolist(), ghz_from_k(ks).tolist(), n_before.tolist(), n_after.tolist())
     _write_table(path, COUNTING_HEADER, columns)
 
 

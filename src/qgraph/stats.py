@@ -20,12 +20,12 @@ import numpy as np
 from .solver import Spectrum
 
 __all__ = [
-    "CountingFunction",
     "ShiftDistribution",
     "SpacingSample",
     "TransitionFitResult",
     "MissingLevelReport",
     "weyl_count",
+    "window_levels",
     "shift_distribution",
     "pool_shift_distributions",
     "interlacing_degree",
@@ -52,22 +52,15 @@ def weyl_count(total_length: float, k: float) -> float:
     return total_length * k / math.pi
 
 
-class CountingFunction:
-    """Right-continuous step function N(k) of a spectrum over its window.
+def window_levels(spectrum: Spectrum) -> np.ndarray:
+    """The levels in the window (k_lo, k_hi], repeated by multiplicity.
 
-    Only levels in (k_lo, k_hi] count, as in the spectral shift; `levels`
-    holds them, repeated by multiplicity.
+    Its `np.searchsorted(..., side="right")` is the right-continuous
+    counting function N(k) of the window, as the spectral shift uses it.
     """
-
-    def __init__(self, spectrum: Spectrum):
-        k_lo, k_hi = spectrum.window
-        ks = spectrum.expanded()
-        self.levels = ks[(ks > k_lo) & (ks <= k_hi)]
-
-    def __call__(self, k) -> np.ndarray:
-        return np.searchsorted(self.levels, np.asarray(k, dtype=float), side="right").astype(
-            float
-        )
+    k_lo, k_hi = spectrum.window
+    ks = spectrum.expanded()
+    return ks[(ks > k_lo) & (ks <= k_hi)]
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +78,6 @@ class ShiftDistribution:
 
     probabilities: dict[int, float]
     window: tuple[float, float]
-    pair_count: int = 1
     std_errors: dict[int, float] | None = None
 
     def __post_init__(self):
@@ -113,7 +105,7 @@ def _shift_steps(before: Spectrum, after: Spectrum) -> tuple[np.ndarray, np.ndar
     if before.window != after.window:
         raise ValueError(f"windows differ: {before.window} vs {after.window}")
     k_lo, k_hi = before.window
-    a, b = CountingFunction(before).levels, CountingFunction(after).levels
+    a, b = window_levels(before), window_levels(after)
     # the distinct levels, sorted; np.unique would load numpy.ma on first use
     merged = np.sort(np.concatenate((a, b)))
     distinct = np.ones(merged.size, dtype=bool)
@@ -137,7 +129,7 @@ def shift_distribution(before: Spectrum, after: Spectrum) -> ShiftDistribution:
             measures[v] = measures.get(v, 0.0) + width
     total = sum(measures.values())
     probs = {m: v / total for m, v in measures.items()}
-    return ShiftDistribution(probabilities=probs, window=before.window, pair_count=1)
+    return ShiftDistribution(probabilities=probs, window=before.window)
 
 
 def pool_shift_distributions(dists: list[ShiftDistribution]) -> ShiftDistribution:
@@ -161,7 +153,6 @@ def pool_shift_distributions(dists: list[ShiftDistribution]) -> ShiftDistributio
     return ShiftDistribution(
         probabilities={m: float(p) for m, p in zip(support, pooled)},
         window=window,
-        pair_count=n,
         std_errors={m: float(e) for m, e in zip(support, err)},
     )
 

@@ -28,6 +28,20 @@ def three_star(arms=(1.0, 0.7, 0.5)):
     return MetricGraph(vertices=tuple(range(len(arms) + 1)), edges=edges)
 
 
+def canonical_edges(graph: MetricGraph) -> tuple[tuple[int, int, float, float], ...]:
+    """Sorted orientation-independent edge tuples: (min, max) endpoints, the
+    phase sign following min -> max.  Equal tuples mean the same edges up to
+    orientation."""
+    return tuple(
+        sorted(
+            (e.u, e.v, e.length, e.phase_per_m)
+            if e.u <= e.v
+            else (e.v, e.u, e.length, -e.phase_per_m)
+            for e in graph.edges
+        )
+    )
+
+
 def random_k4(rng, phase_scale=0.0):
     """Connected four-vertex graph with generic lengths (and optional phases)."""
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]

@@ -285,6 +285,31 @@ def test_window_flags_exclusive(goe_a_file, tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("compare", "--edges", "3"),
+        ("compare", "--edges", "3,5,7"),
+        ("compare", "--edges", "3,x"),
+        ("solve", "--window-ghz", "0.01"),
+        ("solve", "--window-k", "0.1:x"),
+    ],
+)
+def test_malformed_pair_flags_name_the_flag(goe_a_file, tmp_path, capsys, command, flag, value):
+    # a flag that takes two values reports its name and form, exit 2
+    switch = {"--pivot": "0", "--edges": "3,5"} if command == "compare" else {}
+    window = {} if flag.startswith("--window") else {"--window-ghz": "0.01:2.5"}
+    options = itertools.chain.from_iterable({**switch, **window, flag: value}.items())
+    argv = [command, goe_a_file, *options, "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    sep = "," if flag == "--edges" else ":"
+    assert capsys.readouterr().err == (
+        f"error: {flag} expects two values written A{sep}B, got {value!r}\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 def test_compare_invalid_switch(goe_a_file, tmp_path):
     code = main(
         [
@@ -652,6 +677,15 @@ def test_preset_dump_needs_out(tmp_path, monkeypatch, capsys):
     assert main(["preset", "dump", "goe_a"]) == 2
     assert capsys.readouterr().err == "error: preset dump needs --out FILE\n"
     assert os.listdir(tmp_path) == []
+
+
+
+def test_preset_dump_needs_a_name(tmp_path, capsys):
+    assert main(["preset", "dump", "--out", str(tmp_path / "g.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: preset dump needs a NAME; `qgraph preset list` lists them\n"
+    )
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_runtime_needs_no_scipy(tmp_path):

@@ -19,7 +19,7 @@ from qgraph.graphs import SweepSpec, edge_switch, generate_configurations, save_
 from qgraph.presets import gue_numerics_window, preset
 from qgraph.units import k_from_ghz
 
-from conftest import random_k4
+from conftest import canonical_edges, random_k4
 
 
 def small_sweep_plan(names=("goe_a",), step_count=2):
@@ -80,7 +80,7 @@ def test_randomized_ensemble_deterministic_and_distinct():
     a = randomized_ensemble(base, count=40, length_jitter=0.02, seed=11)
     b = randomized_ensemble(base, count=40, length_jitter=0.02, seed=11)
     assert all(
-        ga.canonical_edges() == gb.canonical_edges() for ga, gb in zip(a, b)
+        canonical_edges(ga) == canonical_edges(gb) for ga, gb in zip(a, b)
     )
     vectors = {tuple(e.length for e in g.edges) for g in a}
     assert len(vectors) == 40
@@ -201,7 +201,7 @@ def test_plan_from_manifest_randomized():
     # same manifest, same plan
     again = plan_from_manifest(manifest)
     assert all(
-        a[0].canonical_edges() == b[0].canonical_edges()
+        canonical_edges(a[0]) == canonical_edges(b[0])
         for a, b in zip(plan.pairs, again.pairs)
     )
 
@@ -228,8 +228,8 @@ def test_plan_from_manifest_graph_file_sweep(tmp_path):
     assert len(plan.pairs) == sweep.step_count + 1
     assert plan.window == (k_from_ghz(0.01), k_from_ghz(2.5))
     assert plan.provenance["mode"] == "sweep"
-    assert [(b.canonical_edges(), a.canonical_edges()) for b, a in plan.pairs] == [
-        (b.canonical_edges(), a.canonical_edges())
+    assert [(canonical_edges(b), canonical_edges(a)) for b, a in plan.pairs] == [
+        (canonical_edges(b), canonical_edges(a))
         for b, a in generate_configurations(p.graph, sweep)
     ]
 
@@ -240,8 +240,8 @@ def test_gue_numerics_plan_matches_manifest():
     plan = gue_numerics_plan(count=6, seed=5)
     p = preset("gue")
     again = randomized_ensemble(p.graph, 6, 0.02, 5)
-    assert [(b.canonical_edges(), a.canonical_edges()) for b, a in plan.pairs] == [
-        (g.canonical_edges(), edge_switch(g, p.sweep.switch).canonical_edges()) for g in again
+    assert [(canonical_edges(b), canonical_edges(a)) for b, a in plan.pairs] == [
+        (canonical_edges(g), canonical_edges(edge_switch(g, p.sweep.switch))) for g in again
     ]
     assert plan.window == gue_numerics_window()
     assert plan.provenance == {

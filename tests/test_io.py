@@ -18,6 +18,7 @@ from qgraph.stats import (
     shift_distribution,
     spacing_histogram,
     unfold_spacings,
+    window_levels,
 )
 from qgraph.stats import _shift_steps
 from qgraph.units import ghz_from_k, k_from_ghz
@@ -112,6 +113,50 @@ def test_counting_csv_matches_shift_steps(tmp_path):
     assert list(ks) == [0.1, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]
     assert list(back["n_before"]) == [0, 1, 1, 2, 2, 3, 3]
     assert list(back["n_after"]) == [0, 0, 2, 2, 3, 3, 4]
+
+
+
+COUNTING_WINDOW = (0.5, 4.0)
+# one side of a pair: distinct levels below, on the edges of, inside and above
+# the window, each with a multiplicity, and a levels_below offset
+COUNTING_SIDES = st.lists(
+    st.sampled_from(COUNTING_WINDOW) | st.floats(0.0, 5.0), unique=True, max_size=8
+).flatmap(
+    lambda ks: st.tuples(
+        st.just(sorted(ks)),
+        st.lists(st.integers(1, 3), min_size=len(ks), max_size=len(ks)),
+        st.integers(0, 3),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(before=COUNTING_SIDES, after=COUNTING_SIDES)
+@example(before=([1.0, 2.0, 3.0], [1, 1, 1], 0), after=([], [], 0))  # right-continuous
+@example(before=([0.5, 2.0, 4.0], [2, 1, 3], 1), after=([0.2, 2.0, 4.5], [1, 2, 1], 0))
+def test_counting_csv_rows_and_counts(tmp_path_factory, before, after):
+    # rows are k_lo, the distinct levels in (k_lo, k_hi], then k_hi once; each
+    # side counts its window levels up to the row, and with the levels_below
+    # offset n_before - n_after is the shift staircase's Delta N on every row
+    k_lo, k_hi = COUNTING_WINDOW
+    spectra = [
+        replace(make_spectrum(ks, COUNTING_WINDOW, 1.0, mults), levels_below=below)
+        for ks, mults, below in (before, after)
+    ]
+    path = tmp_path_factory.mktemp("counting") / "counting.csv"
+    qio.write_counting_csv(path, *spectra)
+    back = qio.read_counting_csv(path)
+    ks = back["k_rad_per_m"]
+    in_window = {k for k in before[0] + after[0] if k_lo < k <= k_hi}
+    assert ks.tolist() == [k_lo, *sorted(in_window - {k_hi}), k_hi]
+    for name, spec, (levels, mults, _) in zip(("n_before", "n_after"), spectra, (before, after)):
+        expanded = [k for k, m in zip(levels, mults) for _ in range(m) if k_lo < k <= k_hi]
+        assert window_levels(spec).tolist() == expanded
+        assert np.array_equal(back[name], np.searchsorted(window_levels(spec), ks, "right"))
+    edges, dn = _shift_steps(*spectra)
+    seg = np.minimum(np.searchsorted(edges, ks, side="right") - 1, dn.size - 1)
+    offset = spectra[0].levels_below - spectra[1].levels_below
+    assert np.array_equal(back["n_before"] - back["n_after"] + offset, dn[seg])
 
 
 def _csv_module_table(path, header, rows):

@@ -12,7 +12,6 @@ from qgraph.stats import (
     BIN_WIDTH,
     S_MAX,
     XI_MAX,
-    CountingFunction,
     ShiftDistribution,
     SpacingSample,
     detect_missing_resonances,
@@ -29,6 +28,7 @@ from qgraph.stats import (
     unfold_spacings,
     weyl_count,
     wigner_pdf,
+    window_levels,
 )
 from qgraph.units import k_from_ghz
 
@@ -86,10 +86,10 @@ def test_fluctuating_count_goe_a_bound():
 
 def test_counting_function_steps():
     spec = make_spectrum([1.0, 2.0, 3.0], (0.0, 4.0), 1.0)
-    n = CountingFunction(spec)
-    assert n(0.5) == 0
-    assert n(1.0) == 1  # right-continuous
-    assert n(3.5) == 3
+    levels = window_levels(spec)
+    assert np.searchsorted(levels, 0.5, "right") == 0
+    assert np.searchsorted(levels, 1.0, "right") == 1  # right-continuous
+    assert np.searchsorted(levels, 3.5, "right") == 3
 
 
 # --------------------------------------------------------------------------
@@ -176,7 +176,6 @@ def test_pooled_shift_weighting():
     assert pooled.probability(0) == pytest.approx(0.7)
     assert pooled.probability(1) == pytest.approx(0.1)
     assert pooled.probability(-1) == pytest.approx(0.2)
-    assert pooled.pair_count == 2
     assert pooled.std_errors[0] == pytest.approx(
         np.std([0.8, 0.6], ddof=1) / math.sqrt(2)
     )
