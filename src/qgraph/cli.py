@@ -173,12 +173,12 @@ def cmd_fit_xi(args) -> CommandOutcome:
 
 def cmd_preset(args) -> CommandOutcome:
     if args.action == "list":
+        if args.name is not None:
+            raise ValueError(f"preset list takes no NAME, got {args.name!r}")
         lines = []
         for name in preset_names():
             p = preset(name)
-            lines.append(
-                f"{name}: total length {p.graph.total_length:.4f} m; {p.notes}"
-            )
+            lines.append(f"{name}: total length {p.graph.total_length:.4f} m; {p.notes}")
         return CommandOutcome(0, "\n".join(lines))
     if args.name is None:
         raise ValueError("preset dump needs a NAME; `qgraph preset list` lists them")

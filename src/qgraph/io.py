@@ -23,6 +23,7 @@ from .stats import (
     MIN_FIT_SPACINGS,
     ShiftDistribution,
     SpacingSample,
+    _shift_steps,
     detect_missing_resonances,
     fit_xi,
     spacing_histogram,
@@ -168,14 +169,15 @@ COUNTING_HEADER = ["k_rad_per_m", "freq_GHz", "n_before", "n_after"]
 
 
 def write_counting_csv(path, before: Spectrum, after: Spectrum) -> None:
-    """Merged staircase data of a before/after pair: one row at each window
-    edge and at each level in the window, with both counting functions.
+    """Merged staircase data of a before/after pair over one window: one row at
+    each breakpoint of the spectral shift, with both counting functions.
 
     The counts are window-relative, zero at k_min; add a side's
     `levels_below` to count from the bottom of the spectrum, as the
     spectral shift does."""
+    edges, _ = _shift_steps(before, after)
+    ks = edges[:-1] if edges[-2] == edges[-1] else edges  # a level on k_hi repeats k_hi
     a, b = window_levels(before), window_levels(after)
-    ks = np.unique(np.concatenate([[before.window[0]], a, b, [before.window[1]]]))
     n_before, n_after = (np.searchsorted(side, ks, "right").astype(float) for side in (a, b))
     columns = (ks.tolist(), ghz_from_k(ks).tolist(), n_before.tolist(), n_after.tolist())
     _write_table(path, COUNTING_HEADER, columns)

@@ -435,12 +435,11 @@ def _merge_close(
     """Join sorted roots closer than radius into one multiple root.
 
     Returns the mask of the roots kept (the first of each group) and the
-    summed multiplicities.
+    summed multiplicities; radius 0 groups equal values, like np.unique.
     """
     first = np.ones(ks.size, dtype=bool)
-    first[1:] = np.diff(ks) > radius
-    group = np.cumsum(first) - 1
-    return first, np.bincount(group, weights=mults, minlength=first.sum()).astype(np.int64)
+    first[1:] = ks[1:] - ks[:-1] > radius
+    return first, np.add.reduceat(mults, np.flatnonzero(first)).astype(np.int64, copy=False)
 
 
 def _verified_spectrum(
@@ -603,13 +602,13 @@ def drop_levels(spectrum: Spectrum, indices: list[int] | tuple[int, ...]) -> Spe
         if not (1 <= idx <= n):
             raise ValueError(f"level index {idx} out of range 1..{n}")
     kept = np.delete(expanded, np.asarray(indices, dtype=np.int64) - 1)
-    ks, mults = np.unique(kept, return_counts=True)
+    first, mults = _merge_close(kept, np.ones(kept.size), 0.0)
     nfl_max = fluctuation_envelope(kept, spectrum.window, spectrum.total_length)
     return replace(
         spectrum,
-        wavenumbers=ks,
+        wavenumbers=kept[first],
         multiplicities=mults,
-        residuals=np.zeros(ks.size),
+        residuals=np.zeros(mults.size),
         complete=bool(nfl_max <= NFL_BOUND + 1e-12),
         status="fault-injected",
         nfl_max=nfl_max,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import Spectrum
+from .solver import Spectrum, _merge_close
 
 __all__ = [
     "ShiftDistribution",
@@ -106,11 +106,9 @@ def _shift_steps(before: Spectrum, after: Spectrum) -> tuple[np.ndarray, np.ndar
         raise ValueError(f"windows differ: {before.window} vs {after.window}")
     k_lo, k_hi = before.window
     a, b = window_levels(before), window_levels(after)
-    # the distinct levels, sorted; np.unique would load numpy.ma on first use
     merged = np.sort(np.concatenate((a, b)))
-    distinct = np.ones(merged.size, dtype=bool)
-    distinct[1:] = merged[1:] != merged[:-1]
-    edges = np.concatenate(([k_lo], merged[distinct], [k_hi]))
+    first, _ = _merge_close(merged, np.ones(merged.size), 0.0)  # the distinct levels
+    edges = np.concatenate(([k_lo], merged[first], [k_hi]))
     dn = np.searchsorted(a, edges[:-1], "right") - np.searchsorted(b, edges[:-1], "right")
     return edges, dn + (before.levels_below - after.levels_below)
 

@@ -13,7 +13,7 @@ import qgraph
 from qgraph.cli import main
 from qgraph.ensemble import gue_numerics_plan, run_campaign
 from qgraph.graphs import Edge, MetricGraph, load_graph, save_graph
-from qgraph.presets import preset
+from qgraph.presets import gue_numerics_window, preset
 from qgraph.stats import SpacingSample, fit_xi, sample_transition
 from qgraph import io as qio
 
@@ -660,6 +660,12 @@ def test_preset_list(capsys):
     assert lines[0].startswith(f"goe_a: total length {preset('goe_a').graph.total_length:.4f} m; ")
 
 
+def test_preset_list_refuses_a_name(capsys):
+    # `list` shares the optional NAME positional with `dump`, and takes none
+    assert main(["preset", "list", "gue"]) == 2
+    assert capsys.readouterr() == ("", "error: preset list takes no NAME, got 'gue'\n")
+
+
 def test_preset_dump_round_trips(tmp_path, capsys):
     path = tmp_path / "g.json"
     assert main(["preset", "dump", "goe_a", "--out", str(path)]) == 0
@@ -686,6 +692,18 @@ def test_preset_dump_needs_a_name(tmp_path, capsys):
         "error: preset dump needs a NAME; `qgraph preset list` lists them\n"
     )
     assert not (tmp_path / "g.json").exists()
+
+
+def _run_fresh(cwd, script: str, *args: str) -> dict:
+    """The JSON that `script` prints last, run with `args` in a new Python
+    process in `cwd`, this checkout's qgraph first on its path."""
+    src = str(Path(qgraph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args], cwd=cwd, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def test_runtime_needs_no_scipy(tmp_path):
@@ -719,50 +737,66 @@ def test_runtime_needs_no_scipy(tmp_path):
         print(json.dumps({"codes": codes}))
         """
     )
-    src = str(Path(qgraph.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
-    )
-    assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.splitlines()[-1])
-    assert result == {"codes": [0, 0, 0, 0]}
+    assert _run_fresh(tmp_path, script) == {"codes": [0, 0, 0, 0]}
     spacings = qio.read_spacings_csv(tmp_path / "run" / "spacings.csv")
     assert spacings.spacings.size >= 200
 
 
-def test_campaign_leaves_numpy_ma_unloaded(tmp_path):
-    # numpy loads numpy.ma lazily (np.unique does, for one), about 13 ms
-    # per process; a campaign needs none of it
-    script = textwrap.dedent(
-        """
-        import json, sys
-        import numpy
-        if "numpy.ma" in sys.modules:
-            print(json.dumps({"preloaded": True}))
-            sys.exit(0)
-        from qgraph.cli import main
-        from qgraph.presets import gue_numerics_window
+# numpy loads numpy.ma lazily (np.unique does, for one), about 13 ms per
+# process; no command needs it.  The script runs each argv of its argument
+# through cli.main and reports the exit codes and whether numpy.ma loaded.
+NUMPY_MA_PROBE = textwrap.dedent(
+    """
+    import json, sys
+    import numpy
+    if "numpy.ma" in sys.modules:
+        print(json.dumps({"preloaded": True}))
+        sys.exit(0)
+    from qgraph.cli import main
 
-        manifest = {
-            "preset": "gue",
-            "randomized": {"count": 1, "jitter": 0.02},
-            "seed": 1,
-            "window_k": list(gue_numerics_window()),
-        }
-        with open("gue.json", "w") as fh:
-            json.dump(manifest, fh)
-        code = main(["campaign", "gue.json", "--out", "run"])
-        print(json.dumps({"code": code, "numpy.ma": "numpy.ma" in sys.modules}))
-        """
-    )
-    src = str(Path(qgraph.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
-    )
-    assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.splitlines()[-1])
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+    print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules}))
+    """
+)
+
+
+def _assert_numpy_ma_unloaded(cwd, argvs: list[list[str]], codes: list[int]) -> None:
+    result = _run_fresh(cwd, NUMPY_MA_PROBE, json.dumps(argvs))
     if result.get("preloaded"):
         pytest.skip("import numpy already loads numpy.ma")
-    assert result == {"code": 0, "numpy.ma": False}
+    assert result == {"codes": codes, "numpy.ma": False}
+
+
+def test_campaign_leaves_numpy_ma_unloaded(tmp_path):
+    manifest = {
+        "preset": "gue",
+        "randomized": {"count": 1, "jitter": 0.02},
+        "seed": 1,
+        "window_k": list(gue_numerics_window()),
+    }
+    (tmp_path / "gue.json").write_text(json.dumps(manifest))
+    _assert_numpy_ma_unloaded(tmp_path, [["campaign", "gue.json", "--out", "run"]], [0])
+
+
+COMPARE_GOE_A = ["compare", "goe_a.json", "--pivot", "0", "--edges", "3,5",
+                 "--window-ghz", "0.01:2.5", "--out", "cmp"]
+
+
+@pytest.mark.parametrize(
+    "argvs, codes",
+    [
+        ([["validate", "goe_a.json"]], [0]),
+        ([["solve", "goe_a.json", "--window-ghz", "0.01:2.5", "--out", "s.csv"]], [0]),
+        ([COMPARE_GOE_A], [0]),
+        ([COMPARE_GOE_A + ["--drop-level", "10"]], [1]),
+        ([["fit-xi", "spacings.csv", "--out", "overlay.csv"]], [0]),
+        ([["preset", "list"], ["preset", "dump", "gue", "--out", "gue.json"]], [0, 0]),
+    ],
+    ids=["validate", "solve", "compare", "compare-drop-level", "fit-xi", "preset"],
+)
+def test_commands_leave_numpy_ma_unloaded(tmp_path, argvs, codes):
+    # grouping and merging sorted levels (compare, --drop-level) included
+    save_graph(preset("goe_a").graph, tmp_path / "goe_a.json")
+    sample = SpacingSample(sample_transition(1.0, 300, np.random.default_rng(5)))
+    qio.write_spacings_csv(sample, tmp_path / "spacings.csv")
+    _assert_numpy_ma_unloaded(tmp_path, argvs, codes)

@@ -115,6 +115,16 @@ def test_counting_csv_matches_shift_steps(tmp_path):
     assert list(back["n_after"]) == [0, 0, 2, 2, 3, 3, 4]
 
 
+def test_counting_csv_refuses_different_windows(tmp_path):
+    # the rows are the breakpoints of one window; counting one side's levels
+    # against the other's window would mix two staircases
+    before = make_spectrum([1.0, 2.0, 3.0], (0.1, 4.0), 1.0)
+    after = make_spectrum([1.0, 2.0, 3.0, 4.5], (0.1, 5.0), 1.0)
+    path = tmp_path / "counting.csv"
+    with pytest.raises(ValueError, match="windows differ"):
+        qio.write_counting_csv(path, before, after)
+    assert not path.exists()
+
 
 COUNTING_WINDOW = (0.5, 4.0)
 # one side of a pair: distinct levels below, on the edges of, inside and above

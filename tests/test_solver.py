@@ -13,6 +13,7 @@ from qgraph.solver import (
     RESIDUAL_THRESHOLD,
     ROOT_TOLERANCE,
     _Batch,
+    _merge_close,
     check_window,
     drop_levels,
     solve_spectra,
@@ -27,6 +28,7 @@ from conftest import (
     fd_oracle_spectrum,
     interval_graph,
     loop_graph,
+    make_spectrum,
     random_k4,
     secular_residual,
     three_star,
@@ -602,6 +604,46 @@ def test_drop_levels_validates_index():
     spec = solve_spectrum(interval_graph(), (0.1, 10.0))
     with pytest.raises(ValueError):
         drop_levels(spec, [99])
+
+
+# sorted levels with ties: values from a small pool repeat, others may not
+SORTED_WITH_TIES = st.lists(
+    st.sampled_from([0.5, 1.0, 2.5]) | st.floats(0.2, 9.8), max_size=30
+).map(sorted)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ks=SORTED_WITH_TIES)
+def test_merge_close_at_radius_zero_is_np_unique(ks):
+    ks = np.array(ks, dtype=float)
+    first, counts = _merge_close(ks, np.ones(ks.size), 0.0)
+    values, reference = np.unique(ks, return_counts=True)
+    assert np.array_equal(ks[first], values)
+    assert np.array_equal(counts, reference) and counts.dtype == reference.dtype
+
+
+@st.composite
+def spectra_and_drops(draw):
+    """Distinct levels in (0.1, 10] with multiplicities up to 3, and a set
+    of 1-based positions in the expanded list to drop."""
+    ks = draw(st.lists(st.floats(0.2, 9.8), unique=True, max_size=12).map(sorted))
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(ks), max_size=len(ks)))
+    n = sum(mults)
+    drops = draw(st.lists(st.integers(1, n), unique=True, max_size=n)) if n else []
+    return make_spectrum(ks, (0.1, 10.0), 1.0, mults), drops
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=spectra_and_drops())
+def test_drop_levels_groups_like_np_unique(case):
+    spec, drops = case
+    kept = np.delete(spec.expanded(), np.array(drops, dtype=np.int64) - 1)
+    values, counts = np.unique(kept, return_counts=True)
+    faulted = drop_levels(spec, drops)
+    assert np.array_equal(faulted.wavenumbers, values)
+    assert np.array_equal(faulted.multiplicities, counts)
+    assert faulted.multiplicities.dtype == counts.dtype
+    assert faulted.residuals.shape == values.shape
 
 
 def test_check_window_refuses_bad_windows():
