@@ -2,7 +2,8 @@
 
 A campaign is a list of (before, after) graph pairs solved over one
 window (k_min, k_max).  Its sides are split into one contiguous chunk per
-worker, and each chunk is solved in lockstep by one `solve_spectra` call.
+worker, and each chunk is solved in lockstep by one `solve_spectra` call,
+in a child forked for it that pickles its spectra back through a pipe.
 A side's spectrum does not depend on the chunk it is solved in, and the
 reducer is a deterministic fold over results in configuration order, so
 a campaign returns bit-identical results at any worker count.
@@ -10,9 +11,11 @@ a campaign returns bit-identical results at any worker count.
 
 from __future__ import annotations
 
-import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -167,7 +170,9 @@ def run_campaign(plan: CampaignPlan, workers: int = 1) -> CampaignResult:
 
     The sides, in plan order, form min(workers, sides) contiguous chunks,
     each solved in one `solve_spectra` call: a single chunk in this
-    process, or else every chunk in a process pool.  Degraded pairs
+    process, or else each chunk in a child forked for it (see
+    `_forked_spectra`).  Where `os.fork` does not exist every side is
+    solved in this process, with the same results.  Degraded pairs
     (either side incomplete, holding a multiple level or fewer than two
     levels) are excluded from the pooled statistics but retained in the
     report.  When every pair is degraded all of them are pooled, except
@@ -175,13 +180,11 @@ def run_campaign(plan: CampaignPlan, workers: int = 1) -> CampaignResult:
     """
     sides = [graph for pair in plan.pairs for graph in pair]
     n = min(workers, len(sides))
-    if n <= 1:
+    if n <= 1 or not hasattr(os, "fork"):
         spectra = solve_spectra(sides, plan.window)
     else:
-        chunks = [sides[i * len(sides) // n:(i + 1) * len(sides) // n] for i in range(n)]
-        with ProcessPoolExecutor(max_workers=n) as pool:
-            solved = pool.map(solve_spectra, chunks, itertools.repeat(plan.window))
-            spectra = [spectrum for chunk in solved for spectrum in chunk]
+        bounds = [i * len(sides) // n for i in range(n + 1)]
+        spectra = _forked_spectra(sides, bounds, plan.window)
 
     pair_results = []
     for i in range(len(plan.pairs)):
@@ -220,6 +223,78 @@ def run_campaign(plan: CampaignPlan, workers: int = 1) -> CampaignResult:
         degraded_pairs=degraded_pairs,
         provenance=dict(plan.provenance),
     )
+
+
+def _forked_spectra(sides: list, bounds: list[int], window) -> list[Spectrum]:
+    """The spectra of the sides, each chunk sides[lo:hi] between
+    consecutive bounds solved in a child forked for it.
+
+    A forked child starts with numpy loaded, where a spawned interpreter
+    would import it again.  The parent solves nothing itself, so LAPACK is
+    never mapped into it.  It reads each child's pipe to its end and reaps
+    the child, in chunk order.  A child's exception is re-raised here with
+    its own type; a child that ended without a result raises RuntimeError
+    naming its sides and exit status.  Whatever ends this call, no child
+    outlives it: those still running are killed and reaped.
+    """
+    children = []  # (pid, read end of its pipe), in chunk order, until reaped
+    try:
+        for lo, hi in zip(bounds, bounds[1:]):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _solve_in_child(sides[lo:hi], window, write_fd)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        spectra = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise RuntimeError(f"the worker for sides {lo}-{hi - 1} left no result: {how}")
+            outcome = pickle.loads(data)
+            if isinstance(outcome, BaseException):
+                raise outcome
+            spectra += outcome
+        return spectra
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _solve_in_child(chunk: list, window, write_fd: int):
+    """A forked child's whole life: solve the chunk, write the pickled
+    spectra or exception to write_fd, and leave through os._exit.
+
+    The exception carries the child's traceback as a note; one that does
+    not survive pickling is sent as a RuntimeError carrying it instead.
+    """
+    code = 1
+    try:
+        try:
+            outcome = solve_spectra(chunk, window)
+        except BaseException as exc:  # the child's boundary: the parent re-raises it
+            trace = "".join(traceback.format_exception(exc))
+            # a note travels in the pickled exception and is printed with it
+            exc.__notes__ = [*getattr(exc, "__notes__", ()), "in a campaign worker:\n" + trace]
+            outcome = exc
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                outcome = RuntimeError(trace)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ transition density, takes the global minimum over a grid of xi in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -490,23 +491,33 @@ def ks_distance(sample: SpacingSample, ensemble: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _inverse_transform(pdf_values: np.ndarray, grid: np.ndarray, n: int, rng) -> np.ndarray:
-    # the trapezoid rule, summed in order
-    cdf = np.concatenate(
-        ([0.0], np.cumsum(np.diff(grid) * (pdf_values[1:] + pdf_values[:-1]) / 2.0))
-    )
+@functools.lru_cache(maxsize=8)
+def _inverse_cdf(density, parameter) -> tuple[np.ndarray, np.ndarray]:
+    """The 20001-point grid on [0, 10] and the CDF there of density(s,
+    parameter) by the trapezoid rule, summed in order; both read-only."""
+    grid = np.linspace(0.0, 10.0, 20001)
+    values = density(grid, parameter)
+    cdf = np.concatenate(([0.0], np.cumsum(np.diff(grid) * (values[1:] + values[:-1]) / 2.0)))
     cdf /= cdf[-1]
-    return np.interp(rng.random(n), cdf, grid)
+    grid.flags.writeable = cdf.flags.writeable = False
+    return grid, cdf
 
 
 def sample_wigner(ensemble: str, n: int, rng) -> np.ndarray:
+    """n spacings drawn from the GOE or GUE Wigner surmise.
+
+    GOE inverts its CDF in closed form; GUE interpolates the inverse of its
+    tabulated CDF (`_inverse_cdf`, built once per process).
+    """
     if ensemble == "GOE":
         u = rng.random(n)
         return np.sqrt(-4.0 * np.log1p(-u) / math.pi)
-    grid = np.linspace(0.0, 10.0, 20001)
-    return _inverse_transform(np.asarray(wigner_pdf(grid, ensemble)), grid, n, rng)
+    grid, cdf = _inverse_cdf(wigner_pdf, ensemble)
+    return np.interp(rng.random(n), cdf, grid)
 
 
 def sample_transition(xi: float, n: int, rng) -> np.ndarray:
-    grid = np.linspace(0.0, 10.0, 20001)
-    return _inverse_transform(np.asarray(transition_pdf(grid, xi)), grid, n, rng)
+    """n spacings drawn from `transition_pdf` at xi, interpolating the
+    inverse of its tabulated CDF (`_inverse_cdf`, built once per xi)."""
+    grid, cdf = _inverse_cdf(transition_pdf, xi)
+    return np.interp(rng.random(n), cdf, grid)

@@ -778,6 +778,19 @@ def test_campaign_leaves_numpy_ma_unloaded(tmp_path):
     _assert_numpy_ma_unloaded(tmp_path, [["campaign", "gue.json", "--out", "run"]], [0])
 
 
+def test_cli_import_leaves_process_pools_unloaded(tmp_path):
+    # campaign workers are forked with os.fork: concurrent.futures.process
+    # and multiprocessing (about 20 ms and 2 MB per process) stay unloaded
+    script = textwrap.dedent(
+        """
+        import json, sys
+        import qgraph.cli
+        print(json.dumps([m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules]))
+        """
+    )
+    assert _run_fresh(tmp_path, script) == []
+
+
 COMPARE_GOE_A = ["compare", "goe_a.json", "--pivot", "0", "--edges", "3,5",
                  "--window-ghz", "0.01:2.5", "--out", "cmp"]
 

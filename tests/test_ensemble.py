@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import signal
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 
 from qgraph import ensemble
+from qgraph.cli import main
 from qgraph.ensemble import (
     CampaignPlan,
     gue_numerics_plan,
@@ -110,6 +114,108 @@ def test_campaign_parallelism_bit_identical():
     assert r1.interlacing_degrees == r2.interlacing_degrees
     assert r1.shift.probabilities == r2.shift.probabilities
     assert np.array_equal(r1.spacings.spacings, r2.spacings.spacings)
+    for p1, p2 in zip(r1.pairs, r2.pairs):
+        assert np.array_equal(p1.before.wavenumbers, p2.before.wavenumbers)
+        assert np.array_equal(p1.after.wavenumbers, p2.after.wavenumbers)
+    assert_no_children()
+
+
+def assert_no_children():
+    """No child of this process is left running, and none is a zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def break_chunk(monkeypatch, plan, start, action):
+    """Patch ensemble.solve_spectra so that the chunk beginning at side
+    `start` runs `action` first; forked workers inherit the patch."""
+    sides = [graph for pair in plan.pairs for graph in pair]
+    solve = ensemble.solve_spectra
+
+    def patched(chunk, window):
+        if chunk[0] == sides[start]:
+            action()
+        return solve(chunk, window)
+
+    monkeypatch.setattr(ensemble, "solve_spectra", patched)
+
+
+def boom():
+    raise ValueError("boom")
+
+
+def test_campaign_worker_exception_keeps_its_type(monkeypatch):
+    # the first chunk fails: the parent re-raises at once, and kills and
+    # reaps the worker still solving the second
+    plan = small_sweep_plan()
+    break_chunk(monkeypatch, plan, 0, boom)
+    with pytest.raises(ValueError) as raised:
+        run_campaign(plan, workers=2)
+    assert str(raised.value) == "boom"
+    assert "in boom" in raised.value.__notes__[-1]  # the worker's traceback
+    assert_no_children()
+
+
+def test_campaign_worker_exception_exits_2(tmp_path, monkeypatch, capsys):
+    manifest = {"presets": ["goe_a"], "window_ghz": [0.01, 1.0]}
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    break_chunk(monkeypatch, plan_from_manifest(manifest), 0, boom)
+    argv = ["campaign", str(tmp_path / "m.json"), "--workers", "2", "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert "boom" in capsys.readouterr().err
+    assert_no_children()
+
+
+def test_campaign_killed_worker_names_its_sides_and_signal(monkeypatch):
+    plan = small_sweep_plan()  # 6 sides: chunks 0-2 and 3-5 at two workers
+    break_chunk(monkeypatch, plan, 3, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(RuntimeError, match="sides 3-5 left no result: killed by signal 9$"):
+        run_campaign(plan, workers=2)
+    assert_no_children()
+
+
+def test_campaign_unpicklable_worker_exception_carries_its_traceback(monkeypatch):
+    class Unpicklable(Exception):  # a local class does not pickle
+        pass
+
+    def fail():
+        raise Unpicklable("lost")
+
+    plan = small_sweep_plan()
+    break_chunk(monkeypatch, plan, 3, fail)
+    with pytest.raises(RuntimeError, match="(?s)Traceback.*Unpicklable: lost"):
+        run_campaign(plan, workers=2)
+    assert_no_children()
+
+
+def test_interrupted_campaign_leaves_no_worker(monkeypatch):
+    # both workers would sleep a minute; an exception raised in the parent
+    # while it waits for them kills and reaps them
+    plan = small_sweep_plan()
+    for start in (0, 3):
+        break_chunk(monkeypatch, plan, start, lambda: time.sleep(60.0))
+
+    def interrupt(signum, frame):
+        raise TimeoutError("interrupted")
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    t0 = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(TimeoutError, match="interrupted"):
+            run_campaign(plan, workers=2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - t0 < 30.0
+    assert_no_children()
+
+
+def test_campaign_without_fork_solves_in_process(monkeypatch):
+    plan = small_sweep_plan()
+    r1 = run_campaign(plan, workers=1)
+    monkeypatch.delattr(os, "fork")
+    r2 = run_campaign(plan, workers=2)
     for p1, p2 in zip(r1.pairs, r2.pairs):
         assert np.array_equal(p1.before.wavenumbers, p2.before.wavenumbers)
         assert np.array_equal(p1.after.wavenumbers, p2.after.wavenumbers)

@@ -410,6 +410,38 @@ def test_samplers_use_the_trapezoid_cdf():
         assert np.array_equal(sampler(5000, np.random.default_rng(3)), expected)
 
 
+@pytest.mark.parametrize(
+    "sampler, density, parameter",
+    [
+        (sample_transition, transition_pdf, 0.0),
+        (sample_transition, transition_pdf, 1.0),
+        (sample_transition, transition_pdf, 100.0),
+        (sample_wigner, wigner_pdf, "GUE"),
+    ],
+    ids=["xi0", "xi1", "xi100", "GUE"],
+)
+def test_sampler_tables_are_built_once_and_draw_as_uncached(sampler, density, parameter):
+    # the uncached formula: the 20001-point grid, the trapezoid rule summed
+    # in order, then np.interp of uniform draws
+    grid = np.linspace(0.0, 10.0, 20001)
+    values = density(grid, parameter)
+    cdf = np.concatenate(([0.0], np.cumsum(np.diff(grid) * (values[1:] + values[:-1]) / 2.0)))
+    cdf /= cdf[-1]
+    expected = np.interp(np.random.default_rng(11).random(3000), cdf, grid)
+
+    stats._inverse_cdf.cache_clear()
+    first = sampler(parameter, 3000, np.random.default_rng(11))
+    second = sampler(parameter, 3000, np.random.default_rng(11))
+    assert np.array_equal(first, expected) and np.array_equal(second, expected)
+    info = stats._inverse_cdf.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+    for table in stats._inverse_cdf(density, parameter):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+
+
 def test_wigner_level_repulsion_at_zero():
     assert wigner_pdf(0.0, "GOE") == 0.0
     assert wigner_pdf(0.0, "GUE") == 0.0
