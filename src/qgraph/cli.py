@@ -119,7 +119,6 @@ def cmd_compare(args) -> CommandOutcome:
             f"|Delta N| >= 2; suspect spectrum: {report.suspect}; "
             f"estimated location k = {report.estimated_k:.4f} rad/m"
         )
-        degraded = True
     return CommandOutcome(1 if degraded else 0, "\n".join(lines), tuple(paths))
 
 

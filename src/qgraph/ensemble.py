@@ -16,7 +16,7 @@ import os
 import pickle
 import signal
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,28 +87,18 @@ def randomized_ensemble(
     seen = set()
     for _ in range(count):
         factors = 1.0 + length_jitter * rng.uniform(-1.0, 1.0, size=len(base.edges))
-        jittered = tuple(
-            e if e.id == compensation_edge else replace(e, length=e.length * f)
-            for e, f in zip(base.edges, factors)
-        )
-        comp_len = total - math.fsum(
-            e.length for e in jittered if e.id != compensation_edge
-        )
+        lengths = {
+            e.id: e.length * f for e, f in zip(base.edges, factors) if e.id != compensation_edge
+        }
+        comp_len = total - math.fsum(lengths.values())
         if comp_len <= 0.0:
             raise ValueError(
                 f"jitter {length_jitter} infeasible: compensation edge "
                 f"{compensation_edge} would need length {comp_len}"
             )
-
-        def build(length: float) -> MetricGraph:
-            return base.with_edges(
-                tuple(
-                    replace(e, length=length) if e.id == compensation_edge else e
-                    for e in jittered
-                )
-            )
-
-        g = pin_total_length(build, comp_len, total)
+        g = pin_total_length(
+            base.with_lengths({**lengths, compensation_edge: comp_len}), compensation_edge, total
+        )
         key = tuple(e.length for e in g.edges)
         if key in seen:
             raise ValueError("jitter produced duplicate length vectors; increase it")

@@ -83,6 +83,12 @@ class MetricGraph:
     def with_edges(self, edges: tuple[Edge, ...]) -> "MetricGraph":
         return replace(self, edges=edges)
 
+    def with_lengths(self, lengths: dict[int, float]) -> "MetricGraph":
+        """The graph with each edge named by id in `lengths` at that length."""
+        return self.with_edges(
+            tuple(replace(e, length=lengths[e.id]) if e.id in lengths else e for e in self.edges)
+        )
+
 
 @dataclass(frozen=True)
 class SwitchDescriptor:
@@ -214,23 +220,8 @@ def transfer_length(
         )
     if delta == 0.0:
         return graph
-
-    total_before = graph.total_length
-    new_src_len = src.length - delta
-    new_dst_len = dst.length + delta
-
-    def build(dst_len: float) -> MetricGraph:
-        new_edges = tuple(
-            replace(e, length=new_src_len)
-            if e.id == from_edge
-            else replace(e, length=dst_len)
-            if e.id == to_edge
-            else e
-            for e in graph.edges
-        )
-        return graph.with_edges(new_edges)
-
-    return pin_total_length(build, new_dst_len, total_before)
+    moved = graph.with_lengths({from_edge: src.length - delta, to_edge: dst.length + delta})
+    return pin_total_length(moved, to_edge, graph.total_length)
 
 
 @dataclass(frozen=True)
@@ -278,27 +269,28 @@ def generate_configurations(
     return pairs
 
 
-def pin_total_length(build, length0: float, target: float) -> MetricGraph:
-    """Adjust one edge length until the exactly-rounded total equals target.
+def pin_total_length(graph: MetricGraph, edge_id: int, target: float) -> MetricGraph:
+    """The graph with edge `edge_id` adjusted until the exactly-rounded total
+    length equals `target`.
 
-    `build(length)` constructs the candidate graph.  Bulk corrections
-    first, then single-ulp steps in the right direction; the adjustment
-    stays within rounding distance of length0.
+    Bulk corrections first, then single-ulp steps in the right direction;
+    the edge stays within rounding distance of its length in `graph`, and
+    every other edge is untouched.
     """
-    length = length0
-    out = build(length)
+    length = graph.edge_by_id(edge_id).length
+    out = graph
     for _ in range(4):
         err = out.total_length - target
         if err == 0.0:
             return out
         length -= err
-        out = build(length)
+        out = graph.with_lengths({edge_id: length})
     for _ in range(64):
         err = out.total_length - target
         if err == 0.0:
             return out
         length = math.nextafter(length, -math.inf if err > 0.0 else math.inf)
-        out = build(length)
+        out = graph.with_lengths({edge_id: length})
     raise ArithmeticError("could not preserve total length to full precision")
 
 

@@ -29,7 +29,6 @@ from .stats import (
     spacing_histogram,
     transition_pdf,
     wigner_pdf,
-    window_levels,
 )
 from .units import ghz_from_k
 
@@ -175,11 +174,8 @@ def write_counting_csv(path, before: Spectrum, after: Spectrum) -> None:
     The counts are window-relative, zero at k_min; add a side's
     `levels_below` to count from the bottom of the spectrum, as the
     spectral shift does."""
-    edges, _ = _shift_steps(before, after)
-    ks = edges[:-1] if edges[-2] == edges[-1] else edges  # a level on k_hi repeats k_hi
-    a, b = window_levels(before), window_levels(after)
-    n_before, n_after = (np.searchsorted(side, ks, "right").astype(float) for side in (a, b))
-    columns = (ks.tolist(), ghz_from_k(ks).tolist(), n_before.tolist(), n_after.tolist())
+    ks, _, counts = _shift_steps(before, after)
+    columns = (ks.tolist(), ghz_from_k(ks).tolist(), *(n.astype(float).tolist() for n in counts))
     _write_table(path, COUNTING_HEADER, columns)
 
 

@@ -94,24 +94,28 @@ class ShiftDistribution:
         return self.probabilities.get(m, 0.0)
 
 
-def _shift_steps(before: Spectrum, after: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+def _shift_steps(
+    before: Spectrum, after: Spectrum
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """The spectral shift Delta N = N - N_tilde as a staircase over the window.
 
-    `edges` is k_lo, every level of either side in (k_lo, k_hi], then k_hi;
-    dn[j] is Delta N on [edges[j], edges[j+1]), each side counting its
-    levels from the bottom of the spectrum: its `levels_below` plus its
-    in-window levels up to edges[j].  A level on k_hi leaves one zero-width
-    segment at the end, which carries Delta N(k_hi).
+    `ks` is k_lo, every distinct level of either side in (k_lo, k_hi], then
+    k_hi unless it is a level itself.  (n_before, n_after) count each side's
+    in-window levels up to ks[j], zero at k_lo; dn[j] = Delta N(ks[j]), each
+    side counting from the bottom of the spectrum by adding its
+    `levels_below`.  Delta N holds dn[j] on [ks[j], ks[j+1]), and dn[-1] is
+    its value at k_hi.
     """
     if before.window != after.window:
         raise ValueError(f"windows differ: {before.window} vs {after.window}")
     k_lo, k_hi = before.window
     a, b = window_levels(before), window_levels(after)
-    merged = np.sort(np.concatenate((a, b)))
+    merged = np.sort(np.concatenate((a, b, [k_hi])))
     first, _ = _merge_close(merged, np.ones(merged.size), 0.0)  # the distinct levels
-    edges = np.concatenate(([k_lo], merged[first], [k_hi]))
-    dn = np.searchsorted(a, edges[:-1], "right") - np.searchsorted(b, edges[:-1], "right")
-    return edges, dn + (before.levels_below - after.levels_below)
+    ks = np.concatenate(([k_lo], merged[first]))
+    n_before, n_after = np.searchsorted(a, ks, "right"), np.searchsorted(b, ks, "right")
+    dn = n_before - n_after + (before.levels_below - after.levels_below)
+    return ks, dn, (n_before, n_after)
 
 
 def shift_distribution(before: Spectrum, after: Spectrum) -> ShiftDistribution:
@@ -121,11 +125,10 @@ def shift_distribution(before: Spectrum, after: Spectrum) -> ShiftDistribution:
     set; each integer's mass is the summed segment length divided by the
     window length (one normalization, no sampling grid).
     """
-    edges, dn = _shift_steps(before, after)
+    ks, dn, _ = _shift_steps(before, after)
     measures: dict[int, float] = {}
-    for v, width in zip(dn.tolist(), np.diff(edges).tolist()):
-        if width > 0.0:
-            measures[v] = measures.get(v, 0.0) + width
+    for v, width in zip(dn[:-1].tolist(), np.diff(ks).tolist()):
+        measures[v] = measures.get(v, 0.0) + width
     total = sum(measures.values())
     probs = {m: v / total for m, v in measures.items()}
     return ShiftDistribution(probabilities=probs, window=before.window)
@@ -194,12 +197,12 @@ def detect_missing_resonances(before: Spectrum, after: Spectrum) -> MissingLevel
     estimated from the extremum of the integrated centered shift, and the
     step sign identifies which spectrum lost the level.
     """
-    edges, dn = _shift_steps(before, after)
-    widths = np.diff(edges)
-    bad = (widths > 0.0) & (np.abs(dn) >= 2)
+    ks, dn, _ = _shift_steps(before, after)
+    widths, dn = np.diff(ks), dn[:-1]  # dn[j] holds on [ks[j], ks[j+1])
+    bad = np.abs(dn) >= 2
     if not bad.any():
         return MissingLevelReport(flagged=(), suspect=None, estimated_k=None)
-    flagged = tuple(zip(edges[:-1][bad].tolist(), edges[1:][bad].tolist(), dn[bad].tolist()))
+    flagged = tuple(zip(ks[:-1][bad].tolist(), ks[1:][bad].tolist(), dn[bad].tolist()))
 
     def mean_shift(seg: slice) -> float:
         # np.cumsum adds in segment order, unlike np.sum's pairwise order
@@ -208,10 +211,10 @@ def detect_missing_resonances(before: Spectrum, after: Spectrum) -> MissingLevel
 
     # integrated centered shift at each edge: piecewise linear, extremal at
     # the step; argmax keeps the first extremum
-    centered = dn - np.cumsum(dn * widths)[-1] / (edges[-1] - edges[0])
+    centered = dn - np.cumsum(dn * widths)[-1] / (ks[-1] - ks[0])
     g = np.concatenate(([0.0], np.cumsum(centered * widths)))
     j = int(np.abs(g).argmax())
-    best_k = float(edges[j])
+    best_k = float(ks[j])
     step = mean_shift(slice(j, None)) - mean_shift(slice(0, j))
     suspect = "after" if step > 0 else "before"
     return MissingLevelReport(flagged=flagged, suspect=suspect, estimated_k=best_k)
@@ -230,6 +233,7 @@ class SpacingSample:
     source: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "spacings", np.sort(self.spacings))
         self.spacings.setflags(write=False)
         if not np.all(np.isfinite(self.spacings) & (self.spacings > 0.0)):
             raise ValueError("spacings must be finite and positive")
@@ -247,13 +251,13 @@ def unfold_spacings(spectrum: Spectrum, source: str = "") -> SpacingSample:
     s = np.diff(ks) * spectrum.total_length / math.pi
     if np.any(s <= 0.0):
         raise ValueError("degenerate levels produce zero spacings; cannot unfold")
-    return SpacingSample(spacings=np.sort(s), source=source)
+    return SpacingSample(spacings=s, source=source)
 
 
 def pool_spacings(samples: list[SpacingSample], source: str = "pooled") -> SpacingSample:
     """All spacings of the samples in one sorted sample; empty when none."""
     parts = [s.spacings for s in samples]
-    joined = np.sort(np.concatenate(parts)) if parts else np.empty(0)
+    joined = np.concatenate(parts) if parts else np.empty(0)
     return SpacingSample(spacings=joined, source=source)
 
 

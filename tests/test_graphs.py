@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgraph.graphs import (
     Edge,
@@ -12,6 +13,7 @@ from qgraph.graphs import (
     graph_from_dict,
     graph_to_dict,
     load_graph,
+    pin_total_length,
     save_graph,
     transfer_length,
     validate,
@@ -161,6 +163,46 @@ def test_transfer_preserves_total_bit_for_bit(rng):
         delta = float(rng.uniform(0.0, 0.9) * g.edge_by_id(int(a)).length)
         out = transfer_length(g, int(a), int(b), delta)
         assert out.total_length == g.total_length
+
+
+def test_with_lengths_sets_named_edges_only():
+    g = preset("goe_a").graph
+    assert all(a is b for a, b in zip(g.with_lengths({}).edges, g.edges))
+    lengths = {2: 0.5, 4: 0.25}
+    out = g.with_lengths(lengths)
+    assert [e.length for e in out.edges] == [lengths.get(e.id, e.length) for e in g.edges]
+    assert [(e.id, e.u, e.v, e.phase_per_m) for e in out.edges] == [
+        (e.id, e.u, e.v, e.phase_per_m) for e in g.edges
+    ]
+    assert pin_total_length(g, 2, g.total_length) is g
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    lengths=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=8),
+    data=st.data(),
+    relative=st.floats(-1e-9, 1e-9),
+    ulps=st.integers(-8, 8),
+)
+def test_pin_total_length_restores_total(lengths, data, relative, ulps):
+    # one edge knocked off by up to 1e-9 relative and a few ulps is pinned
+    # back to the original total: exactly, alone, and within rounding of
+    # where it started
+    n = len(lengths)
+    g = MetricGraph(
+        vertices=tuple(range(n + 1)),
+        edges=tuple(Edge(i + 1, i, i + 1, length) for i, length in enumerate(lengths)),
+    )
+    target = g.total_length
+    edge_id = data.draw(st.integers(1, n))
+    length = g.edge_by_id(edge_id).length * (1.0 + relative)
+    for _ in range(abs(ulps)):
+        length = math.nextafter(length, math.copysign(math.inf, ulps))
+    out = pin_total_length(g.with_lengths({edge_id: length}), edge_id, target)
+    assert out.total_length == target
+    assert [e for e in out.edges if e.id != edge_id] == [e for e in g.edges if e.id != edge_id]
+    moved = abs(out.edge_by_id(edge_id).length - g.edge_by_id(edge_id).length)
+    assert moved <= 2 * math.ulp(target)
 
 
 def test_graph_json_roundtrip(tmp_path, rng):

@@ -84,6 +84,13 @@ def test_spacings_csv_roundtrip(tmp_path, spectrum, rng):
     assert path.stat().st_size > 4 * qio._BLOCK_CHARS
 
 
+def test_read_spacings_csv_sorts(tmp_path):
+    # a hand-written file need not list its spacings in order
+    path = tmp_path / "spacings.csv"
+    path.write_text("index,s\n1,1.5\n2,0.25\n3,0.75\n", encoding="utf-8")
+    assert qio.read_spacings_csv(path).spacings.tolist() == [0.25, 0.75, 1.5]
+
+
 def test_counting_csv_roundtrip(tmp_path, spectrum):
     other = solve_spectrum(three_star((1.02, 0.7, 0.48)), (0.1, 20.0))
     path = tmp_path / "counting.csv"
@@ -107,7 +114,7 @@ def test_counting_csv_matches_shift_steps(tmp_path):
     ks = back["k_rad_per_m"]
     assert ks[0] == window[0] and ks[-1] == window[1]
     assert np.all(np.diff(ks) > 0)
-    edges, dn = _shift_steps(before, after)
+    edges, dn, _ = _shift_steps(before, after)
     seg = np.minimum(np.searchsorted(edges, ks, side="right") - 1, dn.size - 1)
     assert np.array_equal(back["n_before"] - back["n_after"], dn[seg])
     assert list(ks) == [0.1, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]
@@ -163,7 +170,7 @@ def test_counting_csv_rows_and_counts(tmp_path_factory, before, after):
         expanded = [k for k, m in zip(levels, mults) for _ in range(m) if k_lo < k <= k_hi]
         assert window_levels(spec).tolist() == expanded
         assert np.array_equal(back[name], np.searchsorted(window_levels(spec), ks, "right"))
-    edges, dn = _shift_steps(*spectra)
+    edges, dn, _ = _shift_steps(*spectra)
     seg = np.minimum(np.searchsorted(edges, ks, side="right") - 1, dn.size - 1)
     offset = spectra[0].levels_below - spectra[1].levels_below
     assert np.array_equal(back["n_before"] - back["n_after"] + offset, dn[seg])

@@ -372,6 +372,19 @@ def test_spacing_sample_rejects_nonfinite(bad):
         SpacingSample(spacings=np.array([0.5, 1.0, bad]))
 
 
+def test_spacing_sample_sorts_a_copy():
+    # ks_distance reads the spacings as order statistics, so a sample built
+    # from shuffled spacings must give the sorted sample's distance; the
+    # caller's array is left as it was, writable
+    s = np.sort(sample_transition(1.0, 300, np.random.default_rng(5)))
+    shuffled = np.random.default_rng(6).permutation(s)
+    sample = SpacingSample(shuffled)
+    assert np.array_equal(sample.spacings, s) and not sample.spacings.flags.writeable
+    assert shuffled.flags.writeable and not np.array_equal(shuffled, s)
+    for ensemble in ("GOE", "GUE"):
+        assert ks_distance(sample, ensemble) == ks_distance(SpacingSample(s), ensemble)
+
+
 # --------------------------------------------------------------------------
 # reference densities
 # --------------------------------------------------------------------------
