@@ -89,7 +89,6 @@ def cmd_compare(args) -> CommandOutcome:
     graph = load_graph(args.graph)
     edge_a, edge_b = _parse_pair("--edges", args.edges, ",", int)
     descriptor = SwitchDescriptor(pivot=args.pivot, edge_a=edge_a, edge_b=edge_b)
-    descriptor.check(graph)
     before, after = solve_spectra([graph, edge_switch(graph, descriptor)], _parse_window(args))
     if args.drop_level:
         after = drop_levels(after, [args.drop_level])

@@ -48,9 +48,6 @@ class Edge:
     length: float
     phase_per_m: float = 0.0
 
-    def is_loop(self) -> bool:
-        return self.u == self.v
-
 
 @dataclass(frozen=True)
 class MetricGraph:
@@ -108,7 +105,7 @@ class SwitchDescriptor:
                 raise ValueError(
                     f"edge {eid} is not incident to pivot vertex {self.pivot}"
                 )
-            if e.is_loop():
+            if e.u == e.v:
                 raise ValueError(f"edge {eid} is a loop at the pivot; cannot switch")
 
 

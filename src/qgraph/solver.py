@@ -4,7 +4,9 @@ The spectrum is computed from the bond propagation matrix
 U(k) = D(k) S on the 2E directed bonds: D(k) carries the metric and
 magnetic phases exp(i (k + phi_b) L_b) and S the Neumann vertex
 amplitudes 2/d - delta.  Eigenvalues of the graph are the k > 0 where
-det(I - U(k)) = 0.
+det(I - U(k)) = 0.  One numbering of the directed bonds (`_bonds`) builds
+both S and the vertex matrix M below, a loop as two bonds like any other
+edge.
 
 Two exact level counts come with it:
 
@@ -82,67 +84,55 @@ MAX_REFINEMENT_ITERATIONS = 200
 # ---------------------------------------------------------------------------
 
 
-def bond_basis(graph: MetricGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Directed-bond arrays for a graph.
+def _bonds(graph: MetricGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The 2E directed bonds of a graph, the numbering both bases share.
 
-    Edge at position e yields bond 2e (stored direction u -> v) and bond
-    2e+1 (reversed); reversal is the involution b ^ 1.  Returns
-    (lengths, chis, S): per-bond metric lengths, fixed magnetic phase
-    offsets phi_b * L_b, and the vertex scattering matrix with Neumann
-    amplitudes sigma_{b'b} = 2/d - delta_{b', reversal(b)}.
+    Bond 2e is the edge at position e in its stored direction u -> v, bond
+    2e+1 its reverse v -> u, so reversal is the involution b ^ 1.  Returns
+    (tails, heads, lengths, chis): each bond's start and end vertex, its
+    metric length and its magnetic phase chi_b = +/- a_e l_e, signed along
+    the bond.  A loop is two bonds from u to u and needs no case of its own.
     """
-    m = 2 * len(graph.edges)
-    lengths = np.empty(m)
-    chis = np.empty(m)
-    tails = np.empty(m, dtype=np.int64)
-    heads = np.empty(m, dtype=np.int64)
-    for e_pos, e in enumerate(graph.edges):
-        f, r = 2 * e_pos, 2 * e_pos + 1
-        lengths[f] = lengths[r] = e.length
-        chis[f] = e.phase_per_m * e.length
-        chis[r] = -e.phase_per_m * e.length
-        tails[f], heads[f] = e.u, e.v
-        tails[r], heads[r] = e.v, e.u
-    smat = np.zeros((m, m), dtype=np.complex128)
-    for v in graph.vertices:
-        incoming = np.nonzero(heads == v)[0]
-        outgoing = np.nonzero(tails == v)[0]
-        d = len(outgoing)
-        for b_in in incoming:
-            for b_out in outgoing:
-                amp = 2.0 / d
-                if b_out == b_in ^ 1:  # back-reflection along the same edge end
-                    amp -= 1.0
-                smat[b_out, b_in] = amp
-    return lengths, chis, smat
+    ends = np.array([(e.u, e.v) for e in graph.edges], dtype=np.int64).reshape(-1, 2)
+    flux = np.array([e.phase_per_m * e.length for e in graph.edges])
+    lengths = np.repeat([e.length for e in graph.edges], 2)
+    return ends.ravel(), ends[:, ::-1].ravel(), lengths, np.stack([flux, -flux], 1).ravel()
+
+
+def bond_basis(graph: MetricGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-bond lengths, phase offsets chi_b and the vertex scattering matrix.
+
+    Returns (lengths, chis, S) on the bonds of `_bonds`, S with the Neumann
+    amplitudes S[b', b] = 2/d - delta_{b', b ^ 1} wherever bond b' leaves
+    the vertex d bonds leave and bond b enters.
+    """
+    tails, heads, lengths, chis = _bonds(graph)
+    degree = np.bincount(tails)[tails]
+    smat = np.where(tails[:, None] == heads, 2.0 / degree[:, None], 0.0)
+    bonds = np.arange(tails.size)
+    smat[bonds ^ 1, bonds] -= 1.0  # back-reflection along the same edge end
+    return lengths, chis, smat.astype(np.complex128)
 
 
 def vertex_basis(graph: MetricGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edge lengths and the constant parts of the vertex secular matrix.
 
     With x_e = k l_e, the Hermitian V x V matrix
-    M = cot(x) @ cot_part + csc(x) @ csc_part, flattened row-major, has
-    M_uu = -sum over edge ends at u of cot x_e and
-    M_uv = sum over edges u -> v of exp(-i a_e l_e) / sin x_e (a the vector
-    potential along the stored direction); a loop at u adds
-    2 (cos(a l) - cos x) / sin x to M_uu.  Away from the poles
-    sin x_e = 0, k is an eigenvalue exactly when M(k) is singular, with
-    the same multiplicity.
+    M = cot(x) @ cot_part + csc(x) @ csc_part, flattened row-major, sums
+    over the bonds b = u -> v of `_bonds`, b on edge e: -cot x_e at (u, u)
+    and exp(-i chi_b) / sin x_e at (u, v).  A loop's two bonds both land
+    on (u, u) and give it -2 cot x + 2 cos(a l) / sin x.  Away from the
+    poles sin x_e = 0, k is an eigenvalue exactly when M(k) is singular,
+    with the same multiplicity.
     """
+    tails, heads, lengths, chis = _bonds(graph)
     n, m = len(graph.vertices), len(graph.edges)
-    lengths = np.array([e.length for e in graph.edges])
+    edge = np.arange(2 * m) // 2
     cot_part = np.zeros((m, n * n))
     csc_part = np.zeros((m, n * n), dtype=np.complex128)
-    for i, e in enumerate(graph.edges):
-        flux = e.phase_per_m * e.length
-        cot_part[i, e.u * n + e.u] -= 1.0
-        cot_part[i, e.v * n + e.v] -= 1.0
-        if e.is_loop():
-            csc_part[i, e.u * n + e.u] += 2.0 * math.cos(flux)
-        else:
-            csc_part[i, e.u * n + e.v] += np.exp(-1j * flux)
-            csc_part[i, e.v * n + e.u] += np.exp(1j * flux)
-    return lengths, cot_part, csc_part
+    np.add.at(cot_part, (edge, tails * (n + 1)), -1.0)
+    np.add.at(csc_part, (edge, tails * n + heads), np.exp(-1j * chis))
+    return lengths[::2].copy(), cot_part, csc_part
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +361,15 @@ def _isolate_roots(
     count = np.rint(np.diff(w)).astype(np.int64)
     keep = (count > 0) & (owner[1:] == owner[:-1])
     cells = {
-        "owner": owner[1:], "a": grid[:-1], "b": grid[1:], "wa": w[:-1], "fa": f[:-1],
-        "fb": f[1:], "on_b": on_root[1:], "count": count,
+        "owner": owner[1:], "a": grid[:-1], "b": grid[1:], "wa": w[:-1], "ga": f[:-1],
+        "gb": f[1:], "on_b": on_root[1:], "count": count,
     }
     cells = {key: v[keep] for key, v in cells.items()}
-    # regula falsi end values (scaled down when the same end is kept twice
-    # in a row) and the end the last such step kept: -1 for a, +1 for b, 0
-    # for none
-    cells.update(ga=cells["fa"], gb=cells["fb"], kept=np.zeros(keep.sum(), dtype=np.int64))
+    # ga and gb are the regula falsi end values: the polishing value at each
+    # end, scaled by factors > 0 while the same end is kept, so their signs
+    # are the polishing value's.  kept is the end the last step kept by
+    # regula falsi: -1 for a, +1 for b, 0 for none
+    cells["kept"] = np.zeros(keep.sum(), dtype=np.int64)
 
     roots: list[np.ndarray] = []
     mults: list[np.ndarray] = []
@@ -393,10 +384,8 @@ def _isolate_roots(
         cells = {key: v[~(on_end | narrow)] for key, v in cells.items()}
         if cells["count"].size == 0:
             break
-        a, b, fa, fb, ga, gb, kept = (
-            cells[key] for key in ("a", "b", "fa", "fb", "ga", "gb", "kept")
-        )
-        falsi = (cells["count"] == 1) & (np.sign(fa) * np.sign(fb) < 0.0)
+        a, b, ga, gb, kept = (cells[key] for key in ("a", "b", "ga", "gb", "kept"))
+        falsi = (cells["count"] == 1) & (np.sign(ga) * np.sign(gb) < 0.0)
         x = b - gb * (b - a) / np.where(falsi, gb - ga, 1.0)
         # a root within half a tolerance of an end is then closed in by a
         # cell narrower than ROOT_TOLERANCE, not approached from one side
@@ -406,17 +395,16 @@ def _isolate_roots(
 
         below = np.rint(wx - cells["wa"]).astype(np.int64)
         # Anderson-Bjorck: the end kept twice in a row is scaled by
-        # m = 1 - f(x) / f(replaced end), or by 1/2 when m <= 0
-        m_a = 1.0 - fx / np.where(falsi, fb, 1.0)
-        m_b = 1.0 - fx / np.where(falsi, fa, 1.0)
+        # m = 1 - g(x) / g(replaced end), or by 1/2 when m <= 0; the end it
+        # replaces is then the last step's x, whose g is still unscaled
+        m_a = 1.0 - fx / np.where(falsi, gb, 1.0)
+        m_b = 1.0 - fx / np.where(falsi, ga, 1.0)
         m_a = np.where(m_a > 0.0, m_a, 0.5)
         m_b = np.where(m_b > 0.0, m_b, 0.5)
-        left = dict(cells, b=x, fb=fx, on_b=on_x, count=below, gb=fx,
-                    ga=np.where(falsi, np.where(kept == -1, m_a * ga, ga), fa),
-                    kept=np.where(falsi, -1, 0))
-        right = dict(cells, a=x, wa=wx, fa=fx, count=cells["count"] - below, ga=fx,
-                     gb=np.where(falsi, np.where(kept == 1, m_b * gb, gb), fb),
-                     kept=np.where(falsi, 1, 0))
+        left = dict(cells, b=x, gb=fx, on_b=on_x, count=below,
+                    ga=np.where(falsi & (kept == -1), m_a * ga, ga), kept=np.where(falsi, -1, 0))
+        right = dict(cells, a=x, wa=wx, ga=fx, count=cells["count"] - below,
+                     gb=np.where(falsi & (kept == 1), m_b * gb, gb), kept=np.where(falsi, 1, 0))
         live = np.concatenate([left["count"], right["count"]]) > 0
         cells = {key: np.concatenate([left[key], right[key]])[live] for key in cells}
 

@@ -77,6 +77,26 @@ def bond_matrix(graph: MetricGraph, k: float) -> np.ndarray:
     return d[:, None] * smat
 
 
+def vertex_matrix(graph: MetricGraph, k: float) -> np.ndarray:
+    """Reference vertex secular matrix M(k) (Kottos & Smilansky, Ann. Phys.
+    274, 76 (1999)), written edge by edge with x = k l_e and a the vector
+    potential along the stored direction u -> v: an edge adds -cot x to M_uu
+    and to M_vv, exp(-i a l) / sin x to M_uv and exp(i a l) / sin x to M_vu;
+    a loop at u adds 2 (cos(a l) - cos x) / sin x to M_uu."""
+    n = len(graph.vertices)
+    m = np.zeros((n, n), dtype=np.complex128)
+    for e in graph.edges:
+        x, flux = k * e.length, e.phase_per_m * e.length
+        if e.u == e.v:
+            m[e.u, e.u] += 2.0 * (math.cos(flux) - math.cos(x)) / math.sin(x)
+        else:
+            m[e.u, e.u] -= 1.0 / math.tan(x)
+            m[e.v, e.v] -= 1.0 / math.tan(x)
+            m[e.u, e.v] += np.exp(-1j * flux) / math.sin(x)
+            m[e.v, e.u] += np.exp(1j * flux) / math.sin(x)
+    return m
+
+
 def secular_residual(graph: MetricGraph, k: float) -> float:
     """Reference residual: the smallest singular value of I - U(k) from an
     SVD; zero exactly at eigenvalues."""

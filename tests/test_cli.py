@@ -499,6 +499,16 @@ def test_campaign_refuses_malformed_manifest(tmp_path, monkeypatch, capsys, mani
     assert "Traceback" not in err and not Path("run").exists()
 
 
+@pytest.mark.parametrize("randomized", [[40, 0.02], "40, 0.02", 40])
+def test_campaign_refuses_a_randomized_block_that_is_no_object(tmp_path, capsys, randomized):
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps({"preset": "gue", "randomized": randomized}))
+    assert main(["campaign", str(mpath), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: randomized must be an object with keys ['count', 'jitter']")
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize(
     "text, key",
     [

@@ -23,7 +23,7 @@ from qgraph.graphs import SweepSpec, edge_switch, generate_configurations, save_
 from qgraph.presets import gue_numerics_window, preset
 from qgraph.units import k_from_ghz
 
-from conftest import canonical_edges, random_k4
+from conftest import canonical_edges, random_k4, three_star
 
 
 def small_sweep_plan(names=("goe_a",), step_count=2):
@@ -97,6 +97,14 @@ def test_randomized_ensemble_rejects_bad_input():
         randomized_ensemble(base, count=3, length_jitter=0.0, seed=1)
     with pytest.raises(ValueError):
         randomized_ensemble(base, count=0, length_jitter=0.01, seed=1)
+
+
+def test_randomized_ensemble_refuses_a_non_positive_compensation_edge():
+    # below unit jitter every other edge stays positive, but eight arms
+    # grown together outweigh the barely longest one that compensates
+    base = three_star((1.01,) + (1.0,) * 8)
+    with pytest.raises(ValueError, match="jitter 0.9 infeasible: compensation edge 1"):
+        randomized_ensemble(base, count=10, length_jitter=0.9, seed=1)
 
 
 def test_campaign_small_goe():

@@ -64,6 +64,26 @@ def test_validate_isolated_vertex():
     assert any("vertex 2" in v for v in violations)
 
 
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        ((0, 2), ((1, 0, 2),), "vertices must be densely indexed 0..1, got [0, 2]"),
+        ((0, 1), ((1, 0, 1), (1, 1, 0)), "duplicate edge id 1"),
+        ((0, 1), ((1, 0, 1), (2, 1, 5)), "edge 2 references unknown vertex 5"),
+        ((0,), (), "graph has no edges"),
+    ],
+)
+def test_validate_names_each_structural_violation(vertices, edges, message):
+    g = MetricGraph(vertices=vertices, edges=tuple(Edge(i, u, v, 1.0) for i, u, v in edges))
+    assert message in validate(g)
+
+
+def test_graph_from_dict_refuses_a_vertex_count():
+    # "vertices" is a list of indices, not their number
+    with pytest.raises(ValueError, match="malformed graph file"):
+        graph_from_dict({"version": 1, "vertices": 5, "edges": []})
+
+
 def test_edge_switch_goe_a_cables():
     # cables 3 and 5 meeting at vertex a swap their far endpoints
     g = preset("goe_a").graph

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qgraph import kernels
 from qgraph.graphs import Edge, MetricGraph
@@ -16,7 +16,9 @@ from conftest import (
     loop_graph,
     random_k4,
     three_star,
+    vertex_matrix,
 )
+from test_solver import loopy_graphs
 
 K4_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -222,6 +224,21 @@ def test_vertex_matrix_singular_at_eigenvalues():
     m = np.cos(x) / np.sin(x) @ cot_part + (1 / np.sin(x)) @ csc_part
     m = m.reshape(-1, 4, 4)
     assert np.array_equal(m, m.conj().swapaxes(1, 2))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(graph=loopy_graphs(), k=st.floats(0.1, 30.0))
+def test_vertex_basis_matches_the_edge_by_edge_matrix(graph, k):
+    # the vertex matrix of vertex_basis, built from the directed bonds,
+    # equals M(k) written edge by edge with a loop case of its own, on
+    # graphs with a loop, a double edge and vector potentials
+    lengths, cot_part, csc_part = vertex_basis(graph)
+    x = k * lengths
+    assume(np.abs(np.sin(x)).min() > 1e-2)
+    n = len(graph.vertices)
+    m = (np.cos(x) / np.sin(x) @ cot_part + (1 / np.sin(x)) @ csc_part).reshape(n, n)
+    want = vertex_matrix(graph, k)
+    assert np.abs(m - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_unitarity_of_bond_matrix(rng):

@@ -360,6 +360,14 @@ def test_unfold_needs_two_levels():
         unfold_spacings(make_spectrum([1.0], (0.0, 2.0), 1.0))
 
 
+@pytest.mark.parametrize("mults", [[2, 1, 1], [1, 3, 1], [1, 1, 2]])
+def test_unfold_refuses_a_multiple_level(mults):
+    # a multiple level gives zero spacings
+    spectrum = make_spectrum([1.0, 2.0, 3.0], (0.0, 4.0), 1.0, mults=mults)
+    with pytest.raises(ValueError, match="degenerate levels produce zero spacings"):
+        unfold_spacings(spectrum)
+
+
 def test_spacing_sample_rejects_nonpositive():
     with pytest.raises(ValueError):
         SpacingSample(spacings=np.array([0.5, 0.0]))
