@@ -82,7 +82,7 @@ def cmd_solve(args) -> CommandOutcome:
         f"Weyl estimate {weyl:.1f}; max |N_fl| = {spectrum.nfl_max:.2f}; "
         f"status {spectrum.status}"
     )
-    return CommandOutcome(0 if spectrum.complete else 1, summary, (str(out),))
+    return CommandOutcome(0 if spectrum.status == "ok" else 1, summary, (str(out),))
 
 
 def cmd_compare(args) -> CommandOutcome:
@@ -96,7 +96,8 @@ def cmd_compare(args) -> CommandOutcome:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
-    for name, spec in (("before", before), ("after", after)):
+    sides = {"before": before, "after": after}
+    for name, spec in sides.items():
         p = out / f"spectrum_{name}.csv"
         qio.write_spectrum_csv(spec, p)
         paths.append(str(p))
@@ -111,7 +112,8 @@ def cmd_compare(args) -> CommandOutcome:
     degree = interlacing_degree(before, after)
     lines = [f"interlacing degree: {degree}"]
     report = detect_missing_resonances(before, after)
-    degraded = not (before.complete and after.complete and degree <= 1)
+    degraded = not (before.status == after.status == "ok" and degree <= 1)
+    lines += [f"{name}: status {s.status}" for name, s in sides.items() if s.status != "ok"]
     if not report.clean:
         lines.append(
             f"missing-resonance report: {len(report.flagged)} interval(s) with "
@@ -249,7 +251,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         outcome = args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(outcome.summary)

@@ -128,10 +128,7 @@ class PairResult:
     @property
     def ok(self) -> bool:
         return (
-            self.before.complete
-            and self.after.complete
-            and self.before.status == "ok"
-            and self.after.status == "ok"
+            self.before.status == self.after.status == "ok"
             and _unfoldable(self.before)
             and _unfoldable(self.after)
         )
@@ -162,9 +159,9 @@ def run_campaign(plan: CampaignPlan, workers: int = 1) -> CampaignResult:
     each solved in one `solve_spectra` call: a single chunk in this
     process, or else each chunk in a child forked for it (see
     `_forked_spectra`).  Where `os.fork` does not exist every side is
-    solved in this process, with the same results.  Degraded pairs
-    (either side incomplete, holding a multiple level or fewer than two
-    levels) are excluded from the pooled statistics but retained in the
+    solved in this process, with the same results.  Degraded pairs (a
+    side whose status is not "ok", or with a multiple level or fewer than
+    two levels) are excluded from the pooled statistics but kept in the
     report.  When every pair is degraded all of them are pooled, except
     that sides that cannot be unfolded never enter the spacing pool.
     """

@@ -63,15 +63,14 @@ __all__ = [
     "solve_spectrum",
     "solve_spectra",
     "drop_levels",
-    "NFL_BOUND",
     "ROOT_TOLERANCE",
     "RESIDUAL_THRESHOLD",
 ]
 
 TWO_PI = 2.0 * math.pi
 
-# O(1) bound on the fluctuating part of the counting function; exceeding it
-# marks a fault-injected spectrum incomplete.
+# O(1) bound on |N_fl|, read only by perfbench/workloads.py, which builds synthetic
+# spectra with it and runs unchanged against every commit it compares.
 NFL_BOUND = 3.0
 
 # Isolation iterations before cells still open are left to the final
@@ -152,16 +151,14 @@ class Spectrum:
     """Sorted real wavenumbers with multiplicities over a k-window.
 
     `status` is "ok" only when the exact eigenphase-winding count matched
-    the roots found, and a solved spectrum is complete exactly then.
-    `nfl_max` is the largest |N_fl(k)|, the fluctuating part of the
-    counting function N(k) - L (k - k_min) / pi taken relative to the
-    window's lower edge.  It is a diagnostic: highly degenerate spectra
-    (the equilateral K5 has multiplicities up to 7) exceed NFL_BOUND
-    while complete.  Only `drop_levels`, which has no winding count,
-    judges completeness by NFL_BOUND.  `levels_below` is the exact number
-    of levels in [0, k_min], the Neumann zero mode included, from the
-    winding at k_min: it anchors the counting function at the bottom of
-    the spectrum.
+    the roots found: the one completeness verdict, and every spectrum the
+    package makes has `complete == (status == "ok")`.  `nfl_max` is the
+    largest |N_fl(k)|, the fluctuating part of the counting function
+    N(k) - L (k - k_min) / pi relative to the window's lower edge, a
+    diagnostic only: the equilateral K5, with multiplicities up to 7,
+    reaches 5.5 while complete.  `levels_below` is the exact number of
+    levels in [0, k_min], the Neumann zero mode included, from the
+    winding at k_min: it anchors the counting function at the bottom.
     """
 
     wavenumbers: np.ndarray
@@ -580,9 +577,9 @@ def solve_spectrum(graph: MetricGraph, window: tuple[float, float]) -> Spectrum:
 def drop_levels(spectrum: Spectrum, indices: list[int] | tuple[int, ...]) -> Spectrum:
     """Remove levels by 1-based position in the multiplicity-expanded list.
 
-    Test and diagnostic helper: the returned spectrum has its fluctuation
-    envelope and completeness flag recomputed and carries status
-    "fault-injected".
+    Test and diagnostic helper: the returned spectrum carries status
+    "fault-injected" and is never complete, since it lacks the removed
+    levels; its fluctuation envelope is recomputed as a diagnostic.
     """
     expanded = spectrum.expanded()
     n = expanded.size
@@ -597,7 +594,7 @@ def drop_levels(spectrum: Spectrum, indices: list[int] | tuple[int, ...]) -> Spe
         wavenumbers=kept[first],
         multiplicities=mults,
         residuals=np.zeros(mults.size),
-        complete=bool(nfl_max <= NFL_BOUND + 1e-12),
+        complete=False,
         status="fault-injected",
         nfl_max=nfl_max,
         messages=spectrum.messages + (f"dropped level(s) {sorted(indices)}",),

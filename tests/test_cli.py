@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import qgraph
+from qgraph import cli
 from qgraph.cli import main
 from qgraph.ensemble import gue_numerics_plan, run_campaign
 from qgraph.graphs import Edge, MetricGraph, load_graph, save_graph
@@ -349,6 +350,33 @@ def test_compare_drop_level_fault(goe_a_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "missing-resonance report" in out
     assert "suspect spectrum: after" in out
+
+
+@pytest.mark.parametrize("name, levels", [("goe_a", 35), ("goe_b", 35), ("gue", 33)])
+def test_compare_exits_1_for_every_dropped_level(name, levels, tmp_path, monkeypatch, capsys):
+    # a fault-injected side is never complete, however small its N_fl swing:
+    # no single dropped level of the switched spectrum leaves compare clean
+    p = preset(name)
+    save_graph(p.graph, tmp_path / "g.json")
+    solve, solved = cli.solve_spectra, {}
+
+    def solve_once(graphs, window):  # every compare below solves the same pair
+        if not solved:
+            solved.update(args=(graphs, window), spectra=solve(graphs, window))
+        assert (graphs, window) == solved["args"]
+        return solved["spectra"]
+
+    monkeypatch.setattr(cli, "solve_spectra", solve_once)
+    switch = p.sweep.switch
+    argv = ["compare", str(tmp_path / "g.json"), "--pivot", str(switch.pivot),
+            "--edges", f"{switch.edge_a},{switch.edge_b}",
+            "--window-k", "{!r}:{!r}".format(*p.window), "--out", str(tmp_path / "cmp")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert solved["spectra"][1].count == levels
+    for n in range(1, levels + 1):
+        assert main(argv + ["--drop-level", str(n)]) == 1, f"--drop-level {n}"
+        assert "after: status fault-injected" in capsys.readouterr().out.splitlines()
 
 
 def test_campaign_manifest(tmp_path, capsys):

@@ -182,6 +182,21 @@ def test_campaign_killed_worker_names_its_sides_and_signal(monkeypatch):
     assert_no_children()
 
 
+def test_campaign_killed_worker_exits_2(tmp_path, monkeypatch, capsys):
+    # a dead worker is an error, not a degraded result (exit 1), and is
+    # reported without a traceback
+    manifest = {"presets": ["goe_a"], "window_ghz": [0.01, 1.0]}  # 22 sides
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    plan = plan_from_manifest(manifest)
+    break_chunk(monkeypatch, plan, 11, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    argv = ["campaign", str(tmp_path / "m.json"), "--workers", "2", "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: the worker for sides 11-21 left no result: killed by signal 9\n"
+    )
+    assert_no_children()
+
+
 def test_campaign_unpicklable_worker_exception_carries_its_traceback(monkeypatch):
     class Unpicklable(Exception):  # a local class does not pickle
         pass
