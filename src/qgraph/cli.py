@@ -251,7 +251,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         outcome = args.func(args)
-    except (ValueError, OSError, KeyError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(outcome.summary)

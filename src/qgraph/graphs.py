@@ -75,7 +75,7 @@ class MetricGraph:
         for e in self.edges:
             if e.id == edge_id:
                 return e
-        raise KeyError(f"no edge with id {edge_id}")
+        raise ValueError(f"no edge with id {edge_id}")
 
     def with_edges(self, edges: tuple[Edge, ...]) -> "MetricGraph":
         return replace(self, edges=edges)

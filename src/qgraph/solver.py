@@ -173,8 +173,10 @@ class Spectrum:
     levels_below: int = 0
 
     def __post_init__(self):
-        for arr in (self.wavenumbers, self.multiplicities, self.residuals):
+        for name in ("wavenumbers", "multiplicities", "residuals"):
+            arr = np.array(getattr(self, name))  # a copy: the caller's array stays writable
             arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def count(self) -> int:

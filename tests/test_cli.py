@@ -329,6 +329,13 @@ def test_compare_invalid_switch(goe_a_file, tmp_path):
     assert code == 2
 
 
+def test_compare_unknown_edge_prints_bare_text(goe_a_file, tmp_path, capsys):
+    argv = ["compare", goe_a_file, "--pivot", "0", "--edges", "3,9",
+            "--window-ghz", "0.01:2.5", "--out", str(tmp_path / "cmp")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: no edge with id 9\n"
+
+
 def test_compare_drop_level_fault(goe_a_file, tmp_path, capsys):
     code = main(
         [

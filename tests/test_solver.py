@@ -606,6 +606,26 @@ def test_drop_levels_validates_index():
         drop_levels(spec, [99])
 
 
+def test_spectrum_freezes_copies_not_the_callers_arrays():
+    ks, mults, res = np.array([1.0, 2.0]), np.array([1, 2]), np.zeros(2)
+    spec = solver.Spectrum(
+        wavenumbers=ks,
+        multiplicities=mults,
+        window=(0.5, 3.0),
+        total_length=1.0,
+        residuals=res,
+        complete=True,
+        status="ok",
+        nfl_max=0.0,
+    )
+    ks[0], mults[0], res[0] = 5.0, 3, 1.0  # the caller's arrays stay writable
+    assert spec.wavenumbers.tolist() == [1.0, 2.0] and spec.count == 3
+    assert spec.residuals.tolist() == [0.0, 0.0]
+    for arr in (spec.wavenumbers, spec.multiplicities, spec.residuals):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
 # sorted levels with ties: values from a small pool repeat, others may not
 SORTED_WITH_TIES = st.lists(
     st.sampled_from([0.5, 1.0, 2.5]) | st.floats(0.2, 9.8), max_size=30
