@@ -1,9 +1,12 @@
 """Configuration ensembles: phase-shifter sweeps, switch pairs, campaigns.
 
 A campaign is a list of (before, after) graph pairs solved over one
-window (k_min, k_max).  Its sides are split into one contiguous chunk per
-worker, and each chunk is solved in lockstep by one `solve_spectra` call,
-in a child forked for it that pickles its spectra back through a pipe.
+window (k_min, k_max), built from a manifest by `plan_from_manifest`.
+Each switch pair enters a plan once: a repeated pair would double its
+weight in the pooled statistics, so `CampaignPlan` refuses it.  The
+sides are split into one contiguous chunk per worker, and each chunk is
+solved in lockstep by one `solve_spectra` call, in a child forked for it
+that pickles its spectra back through a pipe.
 A side's spectrum does not depend on the chunk it is solved in, and the
 reducer is a deterministic fold over results in configuration order, so
 a campaign returns bit-identical results at any worker count.
@@ -32,7 +35,7 @@ from .graphs import (
     pin_total_length,
     read_json,
 )
-from .presets import GOE_WINDOW, gue_numerics_window, preset
+from .presets import GOE_WINDOW, preset
 # campaigns solve through solve_spectra; solve_spectrum stays importable here
 # because perfbench/tracing.py patches qgraph.ensemble.solve_spectrum, and
 # traced benchmark runs fail without it
@@ -56,7 +59,6 @@ __all__ = [
     "run_campaign",
     "plan_from_manifest",
     "load_manifest",
-    "gue_numerics_plan",
 ]
 
 
@@ -71,6 +73,8 @@ def randomized_ensemble(
     Every edge except the longest is scaled by 1 + jitter * u with u
     uniform on [-1, 1]; the longest (the compensation edge) absorbs the
     difference so the exactly-rounded total matches the base bit for bit.
+    Copies that coincide are not refused here but by the `CampaignPlan`
+    that pairs them.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -84,7 +88,6 @@ def randomized_ensemble(
     total = base.total_length
     rng = np.random.default_rng(seed)
     out = []
-    seen = set()
     for _ in range(count):
         factors = 1.0 + length_jitter * rng.uniform(-1.0, 1.0, size=len(base.edges))
         lengths = {
@@ -96,25 +99,31 @@ def randomized_ensemble(
                 f"jitter {length_jitter} infeasible: compensation edge "
                 f"{compensation_edge} would need length {comp_len}"
             )
-        g = pin_total_length(
-            base.with_lengths({**lengths, compensation_edge: comp_len}), compensation_edge, total
-        )
-        key = tuple(e.length for e in g.edges)
-        if key in seen:
-            raise ValueError("jitter produced duplicate length vectors; increase it")
-        seen.add(key)
-        out.append(g)
+        jittered = base.with_lengths({**lengths, compensation_edge: comp_len})
+        out.append(pin_total_length(jittered, compensation_edge, total))
     return out
 
 
 @dataclass(frozen=True)
 class CampaignPlan:
     """Explicit pair list, the window (k_min, k_max) every side is solved
-    over, and provenance."""
+    over, and provenance.
+
+    No (before, after) pair may repeat, graphs compared by value (their
+    vertices and edges): ValueError names the first two indices that hold
+    one pair.
+    """
 
     pairs: tuple[tuple[MetricGraph, MetricGraph], ...]
     window: tuple[float, float]
     provenance: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        first = {}
+        for i, pair in enumerate(self.pairs):
+            j = first.setdefault(pair, i)
+            if j != i:
+                raise ValueError(f"pairs {j} and {i} are the same switch pair")
 
 
 @dataclass(frozen=True)
@@ -408,20 +417,3 @@ def plan_from_manifest(manifest: dict) -> CampaignPlan:
         head = {"presets": list(names)}
     pairs = tuple(pair for base, sweep in sweeps for pair in generate_configurations(base, sweep))
     return CampaignPlan(pairs, window, {**head, "seed": seed, "mode": "sweep"})
-
-
-def gue_numerics_plan(
-    count: int = 40, jitter: float = 0.02, seed: int = 20260809
-) -> CampaignPlan:
-    """The 40-configuration broken-time-reversal campaign.
-
-    Configurations are seeded length jitters of the gue preset at constant
-    total length, each paired with its edge-switch image and solved over
-    the count-derived window of `gue_numerics_window`.
-    """
-    return plan_from_manifest({
-        "preset": "gue",
-        "randomized": {"count": count, "jitter": jitter},
-        "seed": seed,
-        "window_k": list(gue_numerics_window()),
-    })

@@ -192,7 +192,9 @@ def emit_campaign_outputs(result, out_dir, manifest: dict | None = None) -> list
     """Write per-configuration spectra plus the aggregate tables.
 
     Returns the emitted paths; a manifest echo with a content hash over
-    the aggregate CSVs closes the provenance loop.  The echo's
+    the aggregate CSVs closes the provenance loop.  Spectrum files
+    `spectra/pair*_*.csv` this call did not write, left by an earlier
+    campaign in the same directory, are removed.  The echo's
     `xi_overlay` gives the xi the histogram overlay draws and whether the
     spacings identify it; below MIN_FIT_SPACINGS the overlay draws xi = 1
     unfitted, which identifies nothing.
@@ -205,6 +207,10 @@ def emit_campaign_outputs(result, out_dir, manifest: dict | None = None) -> list
             p = out / "spectra" / f"pair{pair.index:03d}_{side}.csv"
             write_spectrum_csv(spec, p)
             paths.append(str(p))
+    written = set(paths)
+    for p in (out / "spectra").glob("pair*_*.csv"):
+        if str(p) not in written:
+            p.unlink()
 
     shift_path = out / "shift_distribution.csv"
     write_shift_csv(result.shift, shift_path)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qgraph.graphs import Edge, MetricGraph, validate
+from qgraph.presets import gue_numerics_window
 from qgraph.solver import Spectrum, bond_basis, fluctuation_envelope
 from qgraph.stats import (
     BIN_WIDTH,
@@ -26,6 +27,18 @@ def loop_graph(length=1.0):
 def three_star(arms=(1.0, 0.7, 0.5)):
     edges = tuple(Edge(i + 1, 0, i + 1, arm) for i, arm in enumerate(arms))
     return MetricGraph(vertices=tuple(range(len(arms) + 1)), edges=edges)
+
+
+def gue_numerics_manifest(count=40, jitter=0.02, seed=20260809):
+    """The paper's broken-time-reversal numerics campaign as a manifest:
+    seeded length jitters of the gue preset at constant total length, each
+    paired with its switch image, over the window of gue_numerics_window."""
+    return {
+        "preset": "gue",
+        "randomized": {"count": count, "jitter": jitter},
+        "seed": seed,
+        "window_k": list(gue_numerics_window()),
+    }
 
 
 def canonical_edges(graph: MetricGraph) -> tuple[tuple[int, int, float, float], ...]:

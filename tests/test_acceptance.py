@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from qgraph.ensemble import gue_numerics_plan, plan_from_manifest, run_campaign
+from qgraph.ensemble import plan_from_manifest, run_campaign
 from qgraph.graphs import Edge, MetricGraph, negate_phases
 from qgraph.presets import preset
 from qgraph.solver import drop_levels, solve_spectra, solve_spectrum
@@ -28,7 +28,13 @@ from qgraph.stats import (
 from qgraph.units import k_from_ghz
 from qgraph import io as qio
 
-from conftest import fd_oracle_spectrum, interval_graph, loop_graph, random_k4
+from conftest import (
+    fd_oracle_spectrum,
+    gue_numerics_manifest,
+    interval_graph,
+    loop_graph,
+    random_k4,
+)
 
 WORKERS = 4
 
@@ -73,7 +79,7 @@ def gue_sweep_campaign():
 @pytest.fixture(scope="module")
 def gue_numerics_campaign():
     t0 = time.time()
-    result = run_campaign(gue_numerics_plan(), workers=WORKERS)
+    result = run_campaign(plan_from_manifest(gue_numerics_manifest()), workers=WORKERS)
     return result, time.time() - t0
 
 

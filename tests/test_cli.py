@@ -12,11 +12,13 @@ import pytest
 import qgraph
 from qgraph import cli
 from qgraph.cli import main
-from qgraph.ensemble import gue_numerics_plan, run_campaign
+from qgraph.ensemble import plan_from_manifest, run_campaign
 from qgraph.graphs import Edge, MetricGraph, load_graph, save_graph
-from qgraph.presets import gue_numerics_window, preset
+from qgraph.presets import preset
 from qgraph.stats import SpacingSample, fit_xi, sample_transition
 from qgraph import io as qio
+
+from conftest import gue_numerics_manifest
 
 
 @pytest.fixture
@@ -534,6 +536,43 @@ def test_campaign_refuses_malformed_manifest(tmp_path, monkeypatch, capsys, mani
     assert "Traceback" not in err and not Path("run").exists()
 
 
+@pytest.mark.parametrize(
+    "manifest, pairs",
+    [
+        ({"presets": ["goe_a", "goe_a"]}, "pairs 0 and 11"),
+        ({"graph_file": "g.json", "sweep": {**SWEEP, "step_delta": 0.0}}, "pairs 0 and 1"),
+        ({"graph_file": "g.json", "sweep": {**SWEEP, "step_delta": 1e-20}}, "pairs 0 and 1"),
+    ],
+)
+def test_campaign_refuses_a_repeated_switch_pair(tmp_path, monkeypatch, capsys, manifest, pairs):
+    # a pair that enters a campaign twice would double its weight in the
+    # pooled statistics: an input error (exit 2) naming both indices
+    monkeypatch.chdir(tmp_path)
+    save_graph(preset("goe_a").graph, "g.json")
+    Path("manifest.json").write_text(json.dumps(manifest))
+    assert main(["campaign", "manifest.json", "--out", "run"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {pairs} are the same switch pair\n"
+    assert not Path("run").exists()
+
+
+def test_campaign_reusing_an_output_directory_keeps_only_its_spectra(tmp_path, capsys):
+    # a smaller campaign written over a larger one leaves no spectrum of the
+    # larger one behind; files that are not spectra stay
+    run = tmp_path / "run"
+    (run / "spectra").mkdir(parents=True)
+    (run / "spectra" / "notes.txt").write_text("kept")
+    for count in (3, 1):
+        mpath = tmp_path / f"gue{count}.json"
+        mpath.write_text(json.dumps({**gue_numerics_manifest(count=count, seed=1),
+                                     "window_k": [20.0, 30.0]}))
+        assert main(["campaign", str(mpath), "--out", str(run)]) == 0
+        assert capsys.readouterr().out.startswith(f"{count} pairs solved")
+    assert sorted(os.listdir(run / "spectra")) == [
+        "notes.txt", "pair000_after.csv", "pair000_before.csv",
+    ]
+
+
 @pytest.mark.parametrize("randomized", [[40, 0.02], "40, 0.02", 40])
 def test_campaign_refuses_a_randomized_block_that_is_no_object(tmp_path, capsys, randomized):
     mpath = tmp_path / "manifest.json"
@@ -614,7 +653,7 @@ def test_fit_xi_roundtrip(tmp_path, rng, capsys):
 def test_fit_xi_says_when_the_sample_does_not_identify_xi(tmp_path, capsys):
     # the objective is flat toward the GUE end on this campaign's 1765
     # spacings: the fit ends at XI_MAX with an uncertainty near 4e7
-    result = run_campaign(gue_numerics_plan(count=6, seed=1), workers=1)
+    result = run_campaign(plan_from_manifest(gue_numerics_manifest(count=6, seed=1)), workers=1)
     spath = tmp_path / "spacings.csv"
     qio.write_spacings_csv(result.spacings, spath)
     assert main(["fit-xi", str(spath), "--out", str(tmp_path / "overlay.csv")]) == 0
@@ -813,13 +852,7 @@ def _assert_numpy_ma_unloaded(cwd, argvs: list[list[str]], codes: list[int]) -> 
 
 
 def test_campaign_leaves_numpy_ma_unloaded(tmp_path):
-    manifest = {
-        "preset": "gue",
-        "randomized": {"count": 1, "jitter": 0.02},
-        "seed": 1,
-        "window_k": list(gue_numerics_window()),
-    }
-    (tmp_path / "gue.json").write_text(json.dumps(manifest))
+    (tmp_path / "gue.json").write_text(json.dumps(gue_numerics_manifest(count=1, seed=1)))
     _assert_numpy_ma_unloaded(tmp_path, [["campaign", "gue.json", "--out", "run"]], [0])
 
 

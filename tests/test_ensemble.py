@@ -13,7 +13,6 @@ from qgraph import ensemble
 from qgraph.cli import main
 from qgraph.ensemble import (
     CampaignPlan,
-    gue_numerics_plan,
     load_manifest,
     plan_from_manifest,
     randomized_ensemble,
@@ -23,7 +22,7 @@ from qgraph.graphs import SweepSpec, edge_switch, generate_configurations, save_
 from qgraph.presets import gue_numerics_window, preset
 from qgraph.units import k_from_ghz
 
-from conftest import canonical_edges, random_k4, three_star
+from conftest import canonical_edges, gue_numerics_manifest, random_k4, three_star
 
 
 def small_sweep_plan(names=("goe_a",), step_count=2):
@@ -366,7 +365,7 @@ def test_plan_from_manifest_graph_file_sweep(tmp_path):
 def test_gue_numerics_plan_matches_manifest():
     # the manifest route gives the jittered gue preset itself, each copy
     # paired with its switch image
-    plan = gue_numerics_plan(count=6, seed=5)
+    plan = plan_from_manifest(gue_numerics_manifest(count=6, seed=5))
     p = preset("gue")
     again = randomized_ensemble(p.graph, 6, 0.02, 5)
     assert [(canonical_edges(b), canonical_edges(a)) for b, a in plan.pairs] == [
@@ -376,6 +375,28 @@ def test_gue_numerics_plan_matches_manifest():
     assert plan.provenance == {
         "source": "gue", "mode": "randomized", "count": 6, "jitter": 0.02, "seed": 5,
     }
+
+
+def test_campaign_plan_refuses_a_repeated_pair():
+    # pairs are compared by value: equal edges in separate objects, with
+    # other metadata, are the same pair; a pair and its reverse are not
+    p = preset("goe_a")
+    before = p.graph
+    after = edge_switch(before, p.sweep.switch)
+    again = replace(before, edges=tuple(replace(e) for e in before.edges), metadata={"x": 1})
+    window = (k_from_ghz(0.01), k_from_ghz(1.0))
+    assert len(CampaignPlan(((before, after), (after, before)), window).pairs) == 2
+    with pytest.raises(ValueError, match=r"^pairs 1 and 2 are the same switch pair$"):
+        CampaignPlan(((after, before), (before, after), (again, after), (before, after)), window)
+
+
+def test_randomized_plan_refuses_coinciding_copies():
+    # a jitter below the lengths' ulp gives equal copies; the plan, not the
+    # ensemble, refuses them
+    a, b, c = randomized_ensemble(preset("gue").graph, count=3, length_jitter=1e-300, seed=1)
+    assert a == b == c
+    with pytest.raises(ValueError, match=r"^pairs 0 and 1 are the same switch pair$"):
+        plan_from_manifest({"preset": "gue", "randomized": {"count": 3, "jitter": 1e-300}})
 
 
 def test_plan_from_manifest_rejects_garbage(tmp_path):

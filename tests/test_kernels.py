@@ -155,6 +155,24 @@ def test_eigenphases_per_row_arrays_match_one_graph_calls(rng):
         assert np.array_equal(got[owner == i], kernels.eigenphases(ks[owner == i], *basis))
 
 
+def test_vertex_eigenvalues_per_graph_rows_match_one_graph_calls(rng):
+    # graphs with one vertex and edge count share a call through an owner
+    # per row, and each row's eigenvalues are bit for bit those of its
+    # graph's own call, a flux-free graph among phased ones
+    graphs = [random_k4(rng, phase_scale=1.0) for _ in range(3)] + [random_k4(rng)]
+    lengths, cot_parts, csc_parts = (np.stack(a) for a in zip(*map(vertex_basis, graphs)))
+    ks = rng.uniform(0.1, 60.0, size=400)
+    owner = rng.integers(0, len(graphs), size=ks.size)
+    got = kernels.vertex_eigenvalues(ks[:, None] * lengths[owner], cot_parts, csc_parts, owner)
+    for i in range(len(graphs)):
+        rows = owner == i
+        alone = kernels.vertex_eigenvalues(
+            ks[rows, None] * lengths[i], cot_parts[i : i + 1], csc_parts[i : i + 1],
+            np.zeros(rows.sum(), dtype=np.int64),
+        )
+        assert np.array_equal(got[rows], alone)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     lengths=st.lists(st.floats(0.05, 3.0), min_size=6, max_size=6),

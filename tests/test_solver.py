@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qgraph import kernels, solver
 from qgraph.graphs import Edge, MetricGraph, SwitchDescriptor, edge_switch, negate_phases
-from qgraph.ensemble import gue_numerics_plan
+from qgraph.ensemble import plan_from_manifest
 from qgraph.presets import preset
 from qgraph.solver import (
     RESIDUAL_THRESHOLD,
@@ -26,6 +26,7 @@ from conftest import (
     bond_matrix,
     eigvals_eigenphases,
     fd_oracle_spectrum,
+    gue_numerics_manifest,
     interval_graph,
     loop_graph,
     make_spectrum,
@@ -194,7 +195,7 @@ def test_numerics_solve_kernel_budget(monkeypatch):
     svd_calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svd_calls.append(1) or svd(*a, **kw))
-    plan = gue_numerics_plan(count=1, seed=5)
+    plan = plan_from_manifest(gue_numerics_manifest(count=1, seed=5))
     spec = solve_spectrum(plan.pairs[0][0], plan.window)
     assert spec.status == "ok" and spec.complete
     assert len(calls) <= 40
