@@ -70,16 +70,16 @@ def randomized_ensemble(
 ) -> list[MetricGraph]:
     """Seeded length-jittered copies of a graph at constant total length.
 
-    Every edge except the longest is scaled by 1 + jitter * u with u
-    uniform on [-1, 1]; the longest (the compensation edge) absorbs the
-    difference so the exactly-rounded total matches the base bit for bit.
-    Copies that coincide are not refused here but by the `CampaignPlan`
-    that pairs them.
+    Every edge except the longest is scaled by 1 + jitter * u, jitter in
+    [0, 1) and u uniform on [-1, 1]; the longest (the compensation edge)
+    absorbs the difference so the exactly-rounded total matches the base
+    bit for bit.  Copies that coincide are not refused here but by the
+    `CampaignPlan` that pairs them.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    if not 0.0 <= length_jitter < math.inf:
-        raise ValueError(f"length_jitter must be non-negative and finite, got {length_jitter}")
+    if not 0.0 <= length_jitter < 1.0:
+        raise ValueError(f"length_jitter must lie in [0, 1), got {length_jitter}")
     if length_jitter == 0.0:
         if count != 1:
             raise ValueError("zero jitter cannot produce distinct configurations")
@@ -360,7 +360,7 @@ def plan_from_manifest(manifest: dict) -> CampaignPlan:
        "randomized": {...}}                                  jittered pairs
       {"graph_file": path, "sweep": {"grow_edge", "shrink_edge",
        "step_delta", "step_count", "switch": {...}}}   step_count + 1 pairs
-    Each shape may add "seed" (default 0), "out_dir", and one of
+    Each shape may add "seed" (whole, >= 0, default 0), "out_dir", and one of
     "window_ghz": [lo, hi] or "window_k": [lo, hi] (finite).  The source,
     presets or a graph file, gives the base graphs and the window: a
     preset its own, a graph file GOE_WINDOW.  Presets whose windows differ
@@ -374,6 +374,8 @@ def plan_from_manifest(manifest: dict) -> CampaignPlan:
     shape = max(_SHAPES, key=lambda keys: len(keys & set(manifest)))
     check_keys("manifest does not describe a campaign", set(manifest) - _COMMON_KEYS, shape)
     seed = json_value(manifest.get("seed", 0), "seed", int)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     json_value(manifest.get("out_dir", ""), "out_dir", str)
     window = _window(manifest)
 

@@ -71,14 +71,15 @@ def window_levels(spectrum: Spectrum) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShiftDistribution:
-    """Probability of each integer shift Delta N = N - N_tilde over a window.
+    """Probability of each integer shift Delta N = N - N_tilde.
 
-    Masses are exact Lebesgue measures of the piecewise-constant shift
-    divided by the window length; support is kept exactly as observed.
+    For one pair the masses are exact Lebesgue measures of the
+    piecewise-constant shift divided by the window length; pooled, they are
+    the plain mean over pairs with per-shift standard errors.  Support is
+    kept exactly as observed.
     """
 
     probabilities: dict[int, float]
-    window: tuple[float, float]
     std_errors: dict[int, float] | None = None
 
     def __post_init__(self):
@@ -131,30 +132,26 @@ def shift_distribution(before: Spectrum, after: Spectrum) -> ShiftDistribution:
         measures[v] = measures.get(v, 0.0) + width
     total = sum(measures.values())
     probs = {m: v / total for m, v in measures.items()}
-    return ShiftDistribution(probabilities=probs, window=before.window)
+    return ShiftDistribution(probabilities=probs)
 
 
 def pool_shift_distributions(dists: list[ShiftDistribution]) -> ShiftDistribution:
-    """Measure-weighted pooling with per-shift standard errors across pairs.
+    """The mean of the per-pair probabilities, with per-shift standard errors.
 
-    The error bar on each shift value is the standard deviation of the
-    per-pair probabilities divided by sqrt(pair count).
+    Every pair counts once, as its error bar assumes: the standard
+    deviation of the per-pair probabilities divided by sqrt(pair count).
     """
     if not dists:
         raise ValueError("nothing to pool")
     support = sorted({m for d in dists for m in d.probabilities})
-    weights = np.array([d.window[1] - d.window[0] for d in dists])
     table = np.array([[d.probability(m) for m in support] for d in dists])
-    pooled = (weights[:, None] * table).sum(axis=0) / weights.sum()
     n = len(dists)
     if n > 1:
         err = table.std(axis=0, ddof=1) / math.sqrt(n)
     else:
         err = np.zeros(len(support))
-    window = (min(d.window[0] for d in dists), max(d.window[1] for d in dists))
     return ShiftDistribution(
-        probabilities={m: float(p) for m, p in zip(support, pooled)},
-        window=window,
+        probabilities={m: float(p) for m, p in zip(support, table.mean(axis=0))},
         std_errors={m: float(e) for m, e in zip(support, err)},
     )
 

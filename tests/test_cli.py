@@ -521,6 +521,9 @@ SWEEP = {"grow_edge": 1, "shrink_edge": 2, "step_delta": 0.005, "step_count": 2,
          "presets goe_a, gue have different windows; give window_ghz or window_k"),
         ({"graph_file": "g.json", "sweep": {**SWEEP, "grow_edge": 2}},
          "from_edge and to_edge must differ"),
+        ({"preset": "gue", "randomized": {"count": 1, "jitter": 1.2}}, "jitter"),
+        ({"preset": "gue", "randomized": {"count": 2, "jitter": 1e308}}, "jitter"),
+        ({"preset": "gue", "randomized": {"count": 2, "jitter": 0.02}, "seed": -5}, "seed"),
     ],
 )
 def test_campaign_refuses_malformed_manifest(tmp_path, monkeypatch, capsys, manifest, named):

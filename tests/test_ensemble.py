@@ -96,6 +96,9 @@ def test_randomized_ensemble_rejects_bad_input():
         randomized_ensemble(base, count=3, length_jitter=0.0, seed=1)
     with pytest.raises(ValueError):
         randomized_ensemble(base, count=0, length_jitter=0.01, seed=1)
+    for jitter in (1.0, 1e308):
+        with pytest.raises(ValueError, match="length_jitter must lie in"):
+            randomized_ensemble(base, count=2, length_jitter=jitter, seed=1)
 
 
 def test_randomized_ensemble_refuses_a_non_positive_compensation_edge():

@@ -169,9 +169,8 @@ def test_shift_window_mismatch_rejected():
 
 
 def test_pooled_shift_weighting():
-    window = (0.0, 10.0)
-    a = ShiftDistribution({0: 0.8, 1: 0.2}, window)
-    b = ShiftDistribution({0: 0.6, -1: 0.4}, window)
+    a = ShiftDistribution({0: 0.8, 1: 0.2})
+    b = ShiftDistribution({0: 0.6, -1: 0.4})
     pooled = pool_shift_distributions([a, b])
     assert pooled.probability(0) == pytest.approx(0.7)
     assert pooled.probability(1) == pytest.approx(0.1)
