@@ -18,7 +18,6 @@ from .presets import preset, preset_names
 from .solver import drop_levels, solve_spectra, solve_spectrum
 from .stats import (
     XI_MAX,
-    detect_missing_resonances,
     fit_xi,
     interlacing_degree,
     ks_distance,
@@ -82,6 +81,7 @@ def cmd_solve(args) -> CommandOutcome:
         f"Weyl estimate {weyl:.1f}; max |N_fl| = {spectrum.nfl_max:.2f}; "
         f"status {spectrum.status}"
     )
+    summary = "\n  ".join([summary, *spectrum.messages])  # none when ok
     return CommandOutcome(0 if spectrum.status == "ok" else 1, summary, (str(out),))
 
 
@@ -111,15 +111,10 @@ def cmd_compare(args) -> CommandOutcome:
 
     degree = interlacing_degree(before, after)
     lines = [f"interlacing degree: {degree}"]
-    report = detect_missing_resonances(before, after)
+    for name, spec in sides.items():
+        if spec.status != "ok":
+            lines.append("\n  ".join([f"{name}: status {spec.status}", *spec.messages]))
     degraded = not (before.status == after.status == "ok" and degree <= 1)
-    lines += [f"{name}: status {s.status}" for name, s in sides.items() if s.status != "ok"]
-    if not report.clean:
-        lines.append(
-            f"missing-resonance report: {len(report.flagged)} interval(s) with "
-            f"|Delta N| >= 2; suspect spectrum: {report.suspect}; "
-            f"estimated location k = {report.estimated_k:.4f} rad/m"
-        )
     return CommandOutcome(1 if degraded else 0, "\n".join(lines), tuple(paths))
 
 

@@ -140,10 +140,17 @@ def vertex_basis(graph: MetricGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def check_window(window: tuple[float, float]) -> None:
-    """Refuse a window (k_min, k_max] unless 0 < k_min < k_max < inf."""
+    """Refuse a window (k_min, k_max] unless 0 < k_min < k_max < inf and
+    the float spacing at k_max is within ROOT_TOLERANCE, which holds below
+    2^19 = 524288 rad/m: past it no cell narrows below the tolerance."""
     k_min, k_max = window
     if not (0.0 < k_min < k_max < math.inf):
         raise ValueError(f"need 0 < k_min < k_max, both finite, got ({k_min}, {k_max})")
+    if math.ulp(k_max) > ROOT_TOLERANCE:
+        raise ValueError(
+            f"need k_max below 2^19 = 524288 rad/m, where the float spacing stays within "
+            f"ROOT_TOLERANCE = {ROOT_TOLERANCE:g}, got {k_max!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -441,7 +448,8 @@ def _verified_spectrum(
     dropped and close roots merge into one multiple root.  The winding
     then counts, independently of the vertex count that found the roots,
     each segment (previous root, root]: it must hold that root's
-    multiplicity, and (last root, k_max] none.
+    multiplicity, and (last root, k_max] none.  Each segment that does not
+    gets one message with its bounds, the levels found and the count.
     """
     k_lo, k_hi = window
     v_min, total_length = batch.v_min[i], float(batch.total_length[i])
@@ -467,27 +475,17 @@ def _verified_spectrum(
     expected = np.rint(raw).astype(np.int64)
     found = np.append(mults, 0)
 
-    messages: list[str] = []
     inconclusive = np.abs(raw - expected) > 1e-5
-    for i in np.flatnonzero(inconclusive):
-        messages.append(
-            f"count validation inconclusive on ({edges[i]:.9g}, {edges[i + 1]:.9g}): "
-            f"{float(raw[i])!r}"
-        )
-    excess = ~inconclusive & (found > expected)
-    for i in np.flatnonzero(excess):
-        messages.append(
-            f"more roots than the winding count on ({edges[i]:.9g}, {edges[i + 1]:.9g}); "
-            f"found {found[i]}, expected {expected[i]}"
-        )
-    deficits = int(np.sum(~inconclusive & (found < expected)))
-    if inconclusive.any() or excess.any():
+    mismatched = np.flatnonzero(inconclusive | (found != expected))
+    messages = tuple(
+        f"({edges[j]:.9g}, {edges[j + 1]:.9g}]: found {found[j]} level(s), winding count "
+        + (f"{float(raw[j])!r} (inconclusive)" if inconclusive[j] else f"{expected[j]}")
+        for j in mismatched
+    )
+    if inconclusive.any() or (found > expected).any():
         status = "anomaly"
-    elif deficits:
-        status = "incomplete"
-        messages.append(f"{deficits} window segment(s) still missing roots")
     else:
-        status = "ok"
+        status = "incomplete" if mismatched.size else "ok"
 
     expanded = np.repeat(ks, mults)
     nfl_max = fluctuation_envelope(expanded, (k_lo, k_hi), total_length)
@@ -501,7 +499,7 @@ def _verified_spectrum(
         complete=status == "ok",
         status=status,
         nfl_max=nfl_max,
-        messages=tuple(messages),
+        messages=messages,
         levels_below=int(np.rint(ends[0] + batch.offset)),
     )
 
@@ -589,6 +587,7 @@ def drop_levels(spectrum: Spectrum, indices: list[int] | tuple[int, ...]) -> Spe
         if not (1 <= idx <= n):
             raise ValueError(f"level index {idx} out of range 1..{n}")
     kept = np.delete(expanded, np.asarray(indices, dtype=np.int64) - 1)
+    dropped = ", ".join(f"{i} at k = {expanded[i - 1]:.9g} rad/m" for i in sorted(indices))
     first, mults = _merge_close(kept, np.ones(kept.size), 0.0)
     nfl_max = fluctuation_envelope(kept, spectrum.window, spectrum.total_length)
     return replace(
@@ -599,5 +598,5 @@ def drop_levels(spectrum: Spectrum, indices: list[int] | tuple[int, ...]) -> Spe
         complete=False,
         status="fault-injected",
         nfl_max=nfl_max,
-        messages=spectrum.messages + (f"dropped level(s) {sorted(indices)}",),
+        messages=spectrum.messages + (f"dropped level(s) {dropped}",),
     )

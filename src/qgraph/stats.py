@@ -201,12 +201,14 @@ def detect_missing_resonances(before: Spectrum, after: Spectrum) -> MissingLevel
     estimated from the extremum of the integrated centered shift, and the
     step sign identifies which spectrum lost the level.
 
-    A clean report does not make the spectra complete: the added step
-    pushes |Delta N| to 2 only where the pair's own shift already leans
-    the same way, which a level lost near the top of the window may never
-    reach.  The goe_a switched side with level 34 or 35 of 35 dropped gives
-    a clean report (see `interlacing_degree`); `Spectrum.status` is the
-    completeness verdict.
+    A heuristic for pairs without a graph only, such as stored spectra:
+    the added step pushes |Delta N| to 2 only where the pair's own shift
+    already leans the same way, which a level lost near the top of the
+    window may never reach (the goe_a switched side with level 34 or 35 of
+    35 dropped gives a clean report).  Where the graph is known,
+    `Spectrum.status` and the winding verification's messages are the
+    completeness verdict; only the campaign's `violations` column still
+    reads this report for such pairs.
     """
     ks, dn, _ = _shift_steps(before, after)
     widths, dn = np.diff(ks), dn[:-1]  # dn[j] holds on [ks[j], ks[j+1])

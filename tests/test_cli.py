@@ -13,10 +13,14 @@ import qgraph
 from qgraph import cli
 from qgraph.cli import main
 from qgraph.ensemble import plan_from_manifest, run_campaign
-from qgraph.graphs import Edge, MetricGraph, load_graph, save_graph
+from qgraph.graphs import (
+    Edge, MetricGraph, SwitchDescriptor, edge_switch, load_graph, save_graph
+)
 from qgraph.presets import preset
+from qgraph.solver import solve_spectrum
 from qgraph.stats import SpacingSample, fit_xi, sample_transition
 from qgraph import io as qio
+from qgraph.units import k_from_ghz
 
 from conftest import gue_numerics_manifest
 
@@ -356,9 +360,13 @@ def test_compare_drop_level_fault(goe_a_file, tmp_path, capsys):
         ]
     )
     assert code == 1
-    out = capsys.readouterr().out
-    assert "missing-resonance report" in out
-    assert "suspect spectrum: after" in out
+    lines = capsys.readouterr().out.splitlines()
+    # the exact verification judges the side: its status, then the dropped
+    # level's index and k
+    switched = edge_switch(preset("goe_a").graph, SwitchDescriptor(pivot=0, edge_a=3, edge_b=5))
+    after = solve_spectrum(switched, (k_from_ghz(0.01), k_from_ghz(2.5)))
+    i = lines.index("after: status fault-injected")
+    assert lines[i + 1] == f"  dropped level(s) 18 at k = {after.expanded()[17]:.9g} rad/m"
 
 
 @pytest.mark.parametrize("name, levels", [("goe_a", 35), ("goe_b", 35), ("gue", 33)])
@@ -383,9 +391,14 @@ def test_compare_exits_1_for_every_dropped_level(name, levels, tmp_path, monkeyp
     assert main(argv) == 0
     capsys.readouterr()
     assert solved["spectra"][1].count == levels
+    # dropping goe_a's level 34 or 35 leaves the interlacing degree at 1, so
+    # the status line and the level's name must mark every drop
+    ks = solved["spectra"][1].expanded()
     for n in range(1, levels + 1):
         assert main(argv + ["--drop-level", str(n)]) == 1, f"--drop-level {n}"
-        assert "after: status fault-injected" in capsys.readouterr().out.splitlines()
+        lines = capsys.readouterr().out.splitlines()
+        i = lines.index("after: status fault-injected")
+        assert lines[i + 1] == f"  dropped level(s) {n} at k = {ks[n - 1]:.9g} rad/m"
 
 
 def test_campaign_manifest(tmp_path, capsys):
@@ -468,11 +481,13 @@ def test_campaign_sparse_window(goe_a_file, tmp_path, capsys, k_max, levels):
 @pytest.mark.parametrize(
     "extra, reason",
     [({"window_k": [0.1, float("inf")]}, "k_min < k_max"),
-     ({"solver": {"root_tolerance": 1e-8}}, "['solver']")],
+     ({"solver": {"root_tolerance": 1e-8}}, "['solver']"),
+     ({"window_k": [524000.0, 524300.0]}, "k_max below 2^19 = 524288 rad/m")],
 )
 def test_campaign_refuses_bad_solver_settings(goe_a_file, tmp_path, capsys, extra, reason):
-    # an infinite window and a solver block are input errors (exit 2), not
-    # degraded results or silently ignored
+    # an infinite window, a solver block and a window past the k the root
+    # tolerance resolves are input errors (exit 2), not degraded results or
+    # silently ignored
     manifest = {
         "graph_file": goe_a_file,
         "switch": {"pivot": 0, "edge_a": 3, "edge_b": 5},

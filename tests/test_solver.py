@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -210,8 +211,10 @@ def test_numerics_solve_kernel_budget(monkeypatch):
 )
 def test_verification_catches_search_faults(monkeypatch, fault, status):
     # the eigenphase verification is independent of the search: a root the
-    # search loses, or a multiplicity it overcounts, never comes back "ok"
+    # search loses, or a multiplicity it overcounts, never comes back "ok",
+    # and a message names a segment (a, b] around the lost root
     isolate = solver._isolate_roots
+    lost = []
 
     def faulty(*args):
         found = []
@@ -221,6 +224,7 @@ def test_verification_catches_search_faults(monkeypatch, fault, status):
                 mults = mults.copy()
                 mults[i] += 1
             else:
+                lost.append(ks[i])
                 ks, mults = np.delete(ks, i), np.delete(mults, i)
             found.append((ks, mults))
         return found
@@ -229,6 +233,10 @@ def test_verification_catches_search_faults(monkeypatch, fault, status):
     p = preset("gue")
     spec = solve_spectrum(p.graph, p.window)
     assert spec.status == status and not spec.complete
+    assert spec.messages
+    for k in lost:
+        segments = [re.match(r"\((\S+), (\S+)\]: found", m).groups() for m in spec.messages]
+        assert any(float(a) < k <= float(b) for a, b in segments), (k, spec.messages)
 
 
 def _tetrahedron(rng, spread):
@@ -491,6 +499,60 @@ def test_analytic_spectra_random_lengths(rng):
         assert all(m == 2 for m in lspec.multiplicities)
 
 
+def _complete(n):
+    return [(u, v) for v in range(n) for u in range(v)]
+
+
+# vertex pairs of the equilateral graphs below; the cube's vertices are the
+# 3-bit words, joined when they differ in one bit
+EQUILATERAL = {
+    "K4": _complete(4),
+    "K5": _complete(5),
+    "K6": _complete(6),
+    "K3,3": [(u, v) for u in range(3) for v in range(3, 6)],
+    "cube": [(u, u | b) for u in range(8) for b in (1, 2, 4) if not u & b],
+    "petersen": [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+}
+
+
+@pytest.mark.parametrize("name", EQUILATERAL)
+def test_equilateral_spectra_match_von_below(name):
+    # the exact spectrum of an equilateral Neumann graph, edge length l
+    # (J. von Below, Linear Algebra Appl. 71, 365 (1985)): off k l in pi Z,
+    # k is a level exactly when cos(k l) is an eigenvalue mu of D^-1 A, with
+    # its multiplicity; at k l = m pi the multiplicity is E - V + 2, or
+    # E - V for odd m on a graph that is not bipartite
+    pairs, length, (k_lo, k_hi) = EQUILATERAL[name], 0.7, (0.1, 40.0)
+    graph = MetricGraph(
+        vertices=tuple(sorted({v for pair in pairs for v in pair})),
+        edges=tuple(Edge(i + 1, u, v, length) for i, (u, v) in enumerate(pairs)),
+    )
+    n_v, n_e = len(graph.vertices), len(pairs)
+    adjacency = np.zeros((n_v, n_v))
+    for u, v in pairs:
+        adjacency[u, v] = adjacency[v, u] = 1.0
+    degree = adjacency.sum(axis=1)
+    mu = np.linalg.eigvalsh(adjacency / np.sqrt(np.outer(degree, degree)))
+    # mu = -1 only on a bipartite graph; mu = +-1 give the levels on the
+    # poles, and a computed -1 can be 1e-8 off
+    bipartite = abs(mu[0] + 1.0) < 1e-6
+    theta = np.arccos(mu[np.abs(np.abs(mu) - 1.0) > 1e-6])
+    turns = 2.0 * math.pi * np.arange(int(k_hi * length / (2.0 * math.pi)) + 2)[:, None]
+    off_poles = np.concatenate([turns + theta, turns - theta]).ravel() / length
+    m = np.arange(1, int(k_hi * length / math.pi) + 1)
+    on_poles = np.repeat(m * math.pi / length, n_e - n_v + np.where(bipartite | (m % 2 == 0), 2, 0))
+    expected = np.sort(np.concatenate([off_poles, on_poles]))
+    expected = expected[(expected > k_lo) & (expected <= k_hi)]
+
+    spec = solve_spectrum(graph, (k_lo, k_hi))
+    assert spec.status == "ok"
+    assert spec.count == expected.size
+    assert np.abs(spec.expanded() - expected).max() < 1e-8
+    first = np.flatnonzero(np.diff(expected, prepend=-1.0) > 1e-8)
+    assert np.array_equal(spec.multiplicities, np.diff(first, append=expected.size))
+
+
 def test_three_star_matches_dense_scan_oracle():
     spec = solve_spectrum(three_star(), (0.1, 20.0))
     assert spec.count == THREE_STAR_ORACLE.size
@@ -672,6 +734,14 @@ def test_check_window_refuses_bad_windows():
         with pytest.raises(ValueError, match="need 0 < k_min < k_max, both finite"):
             check_window(window)
     check_window((0.1, 1.0))
+    # from 2^19 rad/m up the float spacing exceeds ROOT_TOLERANCE, so no
+    # isolation cell could ever close
+    limit = 2.0**19
+    assert math.ulp(math.nextafter(limit, 0.0)) <= ROOT_TOLERANCE < math.ulp(limit)
+    check_window((limit - 100.0, math.nextafter(limit, 0.0)))
+    for k_max in (limit, 6e5, 1e300):
+        with pytest.raises(ValueError, match=r"k_max below 2\^19 = 524288 rad/m"):
+            check_window((limit - 100.0, k_max))
 
 
 def test_solve_rejects_invalid_graph():
