@@ -222,9 +222,11 @@ ROOT_TOLERANCE = 1e-10
 RESIDUAL_THRESHOLD = 1e-6
 
 # The Cayley-map kernel's eigenphase errors are about eps * max|tan(phi/2)|,
-# which its rotations keep below eps * max(100, 2 (2E + 1) / pi), 2.2e-14 up
-# to 78 edges.  A phase this close to zero is taken as a root whatever
-# ROOT_TOLERANCE asks for, so no decision rests on the sign of noise.
+# which its rotations keep below eps * max(100, 2 (2E + 1) / pi): 2.2e-14 up
+# to 78 edges, then growing linearly with E and still below PHASE_FLOOR up
+# to about 3500 edges (K13 and K14, 78 and 91 edges, solve "ok").  A phase
+# this close to zero is taken as a root whatever ROOT_TOLERANCE asks for, so
+# no decision rests on the sign of noise.
 PHASE_FLOOR = 1e-12
 
 # Every eigenvalue of the vertex matrix M(k) is computed to within
@@ -575,7 +577,8 @@ def solve_spectrum(graph: MetricGraph, window: tuple[float, float]) -> Spectrum:
 
 
 def drop_levels(spectrum: Spectrum, indices: list[int] | tuple[int, ...]) -> Spectrum:
-    """Remove levels by 1-based position in the multiplicity-expanded list.
+    """Remove levels by 1-based position in the multiplicity-expanded list,
+    each position at most once.
 
     Test and diagnostic helper: the returned spectrum carries status
     "fault-injected" and is never complete, since it lacks the removed
@@ -583,9 +586,11 @@ def drop_levels(spectrum: Spectrum, indices: list[int] | tuple[int, ...]) -> Spe
     """
     expanded = spectrum.expanded()
     n = expanded.size
-    for idx in indices:
+    for pos, idx in enumerate(indices):
         if not (1 <= idx <= n):
             raise ValueError(f"level index {idx} out of range 1..{n}")
+        if idx in indices[:pos]:
+            raise ValueError(f"level index {idx} repeated")
     kept = np.delete(expanded, np.asarray(indices, dtype=np.int64) - 1)
     dropped = ", ".join(f"{i} at k = {expanded[i - 1]:.9g} rad/m" for i in sorted(indices))
     first, mults = _merge_close(kept, np.ones(kept.size), 0.0)

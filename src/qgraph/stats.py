@@ -41,7 +41,6 @@ __all__ = [
     "MIN_FIT_SPACINGS",
     "fit_xi",
     "ks_distance",
-    "sample_wigner",
     "sample_transition",
 ]
 
@@ -182,55 +181,44 @@ def interlacing_degree(before: Spectrum, after: Spectrum) -> int:
 
 @dataclass(frozen=True)
 class MissingLevelReport:
-    """Where and on which side a level is likely missing from a switch pair."""
+    """The stretches of a switch pair where |Delta N| >= 2."""
 
     flagged: tuple[tuple[float, float, int], ...]  # (k_start, k_end, Delta N)
-    suspect: str | None  # "before" / "after"
-    estimated_k: float | None
 
     @property
     def clean(self) -> bool:
         return not self.flagged
 
+    @property
+    def suspect(self) -> str | None:
+        """The side the first flagged stretch shows short of levels: "after"
+        where Delta N = N - N_tilde > 0, "before" where it is < 0, None when
+        nothing is flagged."""
+        if not self.flagged:
+            return None
+        return "after" if self.flagged[0][2] > 0 else "before"
+
 
 def detect_missing_resonances(before: Spectrum, after: Spectrum) -> MissingLevelReport:
-    """Flag window regions where |Delta N| >= 2 and localize the fault.
+    """The stretches [k_start, k_end) of the window where |Delta N| >= 2.
 
-    A switch pair with complete spectra keeps |Delta N| <= 1.  A missing
-    level adds a persistent unit step to the shift; the step location is
-    estimated from the extremum of the integrated centered shift, and the
-    step sign identifies which spectrum lost the level.
-
-    A heuristic for pairs without a graph only, such as stored spectra:
-    the added step pushes |Delta N| to 2 only where the pair's own shift
-    already leans the same way, which a level lost near the top of the
-    window may never reach (the goe_a switched side with level 34 or 35 of
-    35 dropped gives a clean report).  Where the graph is known,
-    `Spectrum.status` and the winding verification's messages are the
-    completeness verdict; only the campaign's `violations` column still
-    reads this report for such pairs.
+    Complete switch pairs are level-1 interlaced, sup |Delta N| <= 1, so a
+    flagged stretch is exact proof that a side is short of levels, and the
+    sign of Delta N there names that side.  A lost level moves Delta N only
+    from its own k upwards, so every flagged stretch starts at or above the
+    lowest lost level.  A clean report proves nothing: a lost level pushes
+    |Delta N| to 2 only where the pair's own shift already leans the same
+    way, which a level lost near the top of the window may never reach
+    (goe_a's switched side with level 34 or 35 of 35 dropped gives a clean
+    report).  Where the graph is known, `Spectrum.status` is the
+    completeness verdict.
     """
     ks, dn, _ = _shift_steps(before, after)
-    widths, dn = np.diff(ks), dn[:-1]  # dn[j] holds on [ks[j], ks[j+1])
+    dn = dn[:-1]  # dn[j] holds on [ks[j], ks[j+1])
     bad = np.abs(dn) >= 2
-    if not bad.any():
-        return MissingLevelReport(flagged=(), suspect=None, estimated_k=None)
-    flagged = tuple(zip(ks[:-1][bad].tolist(), ks[1:][bad].tolist(), dn[bad].tolist()))
-
-    def mean_shift(seg: slice) -> float:
-        # np.cumsum adds in segment order, unlike np.sum's pairwise order
-        num, den = np.cumsum(dn[seg] * widths[seg]), np.cumsum(widths[seg])
-        return num[-1] / den[-1] if den.size and den[-1] > 0.0 else 0.0
-
-    # integrated centered shift at each edge: piecewise linear, extremal at
-    # the step; argmax keeps the first extremum
-    centered = dn - np.cumsum(dn * widths)[-1] / (ks[-1] - ks[0])
-    g = np.concatenate(([0.0], np.cumsum(centered * widths)))
-    j = int(np.abs(g).argmax())
-    best_k = float(ks[j])
-    step = mean_shift(slice(j, None)) - mean_shift(slice(0, j))
-    suspect = "after" if step > 0 else "before"
-    return MissingLevelReport(flagged=flagged, suspect=suspect, estimated_k=best_k)
+    return MissingLevelReport(
+        flagged=tuple(zip(ks[:-1][bad].tolist(), ks[1:][bad].tolist(), dn[bad].tolist()))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -444,33 +432,21 @@ def ks_distance(sample: SpacingSample, ensemble: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# reference sampling (inverse transform from the closed-form densities)
+# reference sampling (inverse transform from the transition density)
 # ---------------------------------------------------------------------------
 
 
 @functools.lru_cache(maxsize=8)
 def _inverse_cdf(density, parameter) -> tuple[np.ndarray, np.ndarray]:
-    """The 20001-point grid on [0, 10] and the CDF there of density(s,
-    parameter) by the trapezoid rule, summed in order; both read-only."""
+    """The inverse-transform table of `sample_transition`: the 20001-point
+    grid on [0, 10] and the CDF there of density(s, parameter) by the
+    trapezoid rule, summed in order; both read-only."""
     grid = np.linspace(0.0, 10.0, 20001)
     values = density(grid, parameter)
     cdf = np.concatenate(([0.0], np.cumsum(np.diff(grid) * (values[1:] + values[:-1]) / 2.0)))
     cdf /= cdf[-1]
     grid.flags.writeable = cdf.flags.writeable = False
     return grid, cdf
-
-
-def sample_wigner(ensemble: str, n: int, rng) -> np.ndarray:
-    """n spacings drawn from the GOE or GUE Wigner surmise.
-
-    GOE inverts its CDF in closed form; GUE interpolates the inverse of its
-    tabulated CDF (`_inverse_cdf`, built once per process).
-    """
-    if ensemble == "GOE":
-        u = rng.random(n)
-        return np.sqrt(-4.0 * np.log1p(-u) / math.pi)
-    grid, cdf = _inverse_cdf(wigner_pdf, ensemble)
-    return np.interp(rng.random(n), cdf, grid)
 
 
 def sample_transition(xi: float, n: int, rng) -> np.ndarray:

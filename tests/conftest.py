@@ -11,8 +11,10 @@ from qgraph.stats import (
     MIN_FIT_SPACINGS,
     SpacingSample,
     TransitionFitResult,
+    _inverse_cdf,
     spacing_histogram,
     transition_pdf,
+    wigner_pdf,
 )
 
 
@@ -230,6 +232,19 @@ def least_squares_fit_xi(sample: SpacingSample) -> TransitionFitResult:
     else:
         uncertainty = math.inf
     return TransitionFitResult(xi=xi, xi_uncertainty=uncertainty, goodness=rss / dof)
+
+
+def sample_wigner(ensemble: str, n: int, rng) -> np.ndarray:
+    """n spacings drawn from the GOE or GUE Wigner surmise.
+
+    GOE inverts its CDF in closed form; GUE interpolates the inverse of its
+    tabulated CDF (`qgraph.stats._inverse_cdf`, built once per process).
+    """
+    if ensemble == "GOE":
+        u = rng.random(n)
+        return np.sqrt(-4.0 * np.log1p(-u) / math.pi)
+    grid, cdf = _inverse_cdf(wigner_pdf, ensemble)
+    return np.interp(rng.random(n), cdf, grid)
 
 
 def make_spectrum(ks, window, total_length, mults=None):

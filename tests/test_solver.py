@@ -667,6 +667,9 @@ def test_drop_levels_validates_index():
     spec = solve_spectrum(interval_graph(), (0.1, 10.0))
     with pytest.raises(ValueError):
         drop_levels(spec, [99])
+    # a repeated index would remove one level and name it twice
+    with pytest.raises(ValueError, match="level index 3 repeated"):
+        drop_levels(spec, [3, 3])
 
 
 def test_spectrum_freezes_copies_not_the_callers_arrays():

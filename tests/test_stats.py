@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -21,7 +22,6 @@ from qgraph.stats import (
     ks_distance,
     pool_shift_distributions,
     sample_transition,
-    sample_wigner,
     shift_distribution,
     spacing_histogram,
     transition_pdf,
@@ -32,7 +32,7 @@ from qgraph.stats import (
 )
 from qgraph.units import k_from_ghz
 
-from conftest import least_squares_fit_xi, make_spectrum
+from conftest import least_squares_fit_xi, make_spectrum, sample_wigner
 
 
 # --------------------------------------------------------------------------
@@ -245,44 +245,75 @@ def test_interlacing_equals_max_shift(rng):
 # --------------------------------------------------------------------------
 
 
-def _goe_pair():
-    window = (k_from_ghz(0.01), k_from_ghz(2.5))
+@functools.lru_cache(maxsize=None)
+def _preset_pair(name="goe_a"):
+    """The preset's graph and its switch image, solved over its window."""
     from qgraph.graphs import edge_switch
 
-    p = preset("goe_a")
-    before = solve_spectrum(p.graph, window)
-    after = solve_spectrum(edge_switch(p.graph, p.sweep.switch), window)
+    p = preset(name)
+    before = solve_spectrum(p.graph, p.window)
+    after = solve_spectrum(edge_switch(p.graph, p.sweep.switch), p.window)
     return before, after
 
 
 def test_missing_resonances_clean_pair():
-    before, after = _goe_pair()
+    before, after = _preset_pair()
     report = detect_missing_resonances(before, after)
     assert report.clean
     assert report.suspect is None
 
 
 def test_missing_resonances_locates_deletion():
-    before, after = _goe_pair()
+    before, after = _preset_pair()
     victim = 18
     k_deleted = after.expanded()[victim - 1]
     faulted = drop_levels(after, [victim])
     report = detect_missing_resonances(before, faulted)
     assert not report.clean
     assert report.suspect == "after"
-    assert abs(report.estimated_k - k_deleted) <= 2 * math.pi / after.total_length
+    assert all(k_start >= k_deleted for k_start, _, _ in report.flagged)
 
 
 def test_missing_resonances_flags_before_side():
-    before, after = _goe_pair()
+    before, after = _preset_pair()
     faulted = drop_levels(before, [12])
     report = detect_missing_resonances(faulted, after)
     assert not report.clean
     assert report.suspect == "before"
 
 
+def test_missing_resonances_two_sided_drop_names_the_flagged_side():
+    # goe_a before-level 5 and after-level 20 dropped: between the two
+    # drops Delta N reaches -2, so the before side is the one shown short
+    before, after = _preset_pair()
+    report = detect_missing_resonances(drop_levels(before, [5]), drop_levels(after, [20]))
+    assert report.flagged and all(dn == -2 for _, _, dn in report.flagged)
+    assert report.suspect == "before"
+
+
+@pytest.mark.parametrize("name", ["goe_a", "goe_b", "gue"])
+def test_missing_resonances_single_drops_flag_above_the_drop(name):
+    # every single-level drop on either side: a flagged report starts every
+    # stretch at or above the dropped level and its Delta N signs name the
+    # dropped side; only drops among the top two levels of a side go unseen
+    before, after = _preset_pair(name)
+    for side, spec in (("before", before), ("after", after)):
+        ks = spec.expanded()
+        for victim in range(1, spec.count + 1):
+            faulted = drop_levels(spec, [victim])
+            pair = (faulted, after) if side == "before" else (before, faulted)
+            report = detect_missing_resonances(*pair)
+            if report.clean:
+                assert victim >= spec.count - 1, (side, victim)
+                continue
+            assert all(k_start >= ks[victim - 1] for k_start, _, _ in report.flagged)
+            assert all((dn < 0) == (side == "before") for _, _, dn in report.flagged)
+            assert report.suspect == side
+
+
 def _missing_reference(a, b, window):
-    """Loop reference: (flagged, suspect, estimated_k) from segments in order."""
+    """Loop reference: (flagged, suspect) from segments in order, the
+    suspect named by the first flagged Delta N."""
     cuts = np.unique(np.concatenate([window, a, b])).tolist()
     segments = [
         (lo, hi, int(np.sum(a <= 0.5 * (lo + hi)) - np.sum(b <= 0.5 * (lo + hi))))
@@ -290,21 +321,8 @@ def _missing_reference(a, b, window):
     ]
     flagged = tuple(s for s in segments if abs(s[2]) >= 2)
     if not flagged:
-        return (), None, None
-    mean = sum(v * (hi - lo) for lo, hi, v in segments) / (window[1] - window[0])
-    best_k, best_g, g = window[0], 0.0, 0.0
-    for lo, hi, v in segments:
-        g += (v - mean) * (hi - lo)
-        if abs(g) > abs(best_g):
-            best_g, best_k = g, hi
-
-    def mean_between(x0, x1):
-        parts = [(v, min(hi, x1) - max(lo, x0)) for lo, hi, v in segments]
-        parts = [(v, w) for v, w in parts if w > 0]
-        return sum(v * w for v, w in parts) / sum(w for _, w in parts) if parts else 0.0
-
-    step = mean_between(best_k, window[1]) - mean_between(window[0], best_k)
-    return flagged, "after" if step > 0 else "before", best_k
+        return (), None
+    return flagged, "after" if flagged[0][2] > 0 else "before"
 
 
 def test_missing_resonances_match_loop_reference(rng):
@@ -312,9 +330,7 @@ def test_missing_resonances_match_loop_reference(rng):
     for _ in range(300):
         (sa, a), (sb, b) = _grid_side(rng, window), _grid_side(rng, window)
         report = detect_missing_resonances(sa, sb)
-        assert (report.flagged, report.suspect, report.estimated_k) == _missing_reference(
-            a, b, window
-        )
+        assert (report.flagged, report.suspect) == _missing_reference(a, b, window)
 
 
 def test_missing_resonances_window_mismatch_rejected():
@@ -330,6 +346,7 @@ def test_missing_resonances_empty_side():
     after = make_spectrum([1.0, 2.0, 3.0], (0.0, 4.0), 1.0)
     report = detect_missing_resonances(before, after)
     assert not report.clean
+    assert report.suspect == "before"
 
 
 # --------------------------------------------------------------------------
