@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import random
 import signal
 import traceback
 from dataclasses import dataclass, field
@@ -71,25 +72,37 @@ def randomized_ensemble(
     """Seeded length-jittered copies of a graph at constant total length.
 
     Every edge except the longest is scaled by 1 + jitter * u, jitter in
-    [0, 1) and u uniform on [-1, 1]; the longest (the compensation edge)
+    [0, 1) and u uniform on [-1, 1); the longest (the compensation edge)
     absorbs the difference so the exactly-rounded total matches the base
     bit for bit.  Copies that coincide are not refused here but by the
     `CampaignPlan` that pairs them.
+
+    u is 2 * random() - 1 from `random.Random(seed)`, one draw per edge in
+    edge order, the compensation edge's draw included and discarded.
+    Python keeps `random()`'s sequence for a given integer seed across
+    versions, while numpy's generator streams may change between releases
+    (NEP 19), so a seed names the same graphs under any numpy.  Ensembles
+    drawn before this generator was adopted, from numpy's
+    `default_rng(seed)`, differ, and so do their digests.
+    `random.Random(-n)` equals `random.Random(n)`, so a negative seed is
+    refused rather than folded onto its absolute value.
     """
     if count < 1:
         raise ValueError("count must be positive")
     if not 0.0 <= length_jitter < 1.0:
         raise ValueError(f"length_jitter must lie in [0, 1), got {length_jitter}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if length_jitter == 0.0:
         if count != 1:
             raise ValueError("zero jitter cannot produce distinct configurations")
         return [base]
     compensation_edge = max(base.edges, key=lambda e: e.length).id
     total = base.total_length
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     out = []
     for _ in range(count):
-        factors = 1.0 + length_jitter * rng.uniform(-1.0, 1.0, size=len(base.edges))
+        factors = [1.0 + length_jitter * (2.0 * rng.random() - 1.0) for _ in base.edges]
         lengths = {
             e.id: e.length * f for e, f in zip(base.edges, factors) if e.id != compensation_edge
         }

@@ -11,7 +11,6 @@ ValueError naming the file and line.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from itertools import repeat
 from pathlib import Path
@@ -235,6 +234,10 @@ def emit_campaign_outputs(result, out_dir, manifest: dict | None = None) -> list
     write_interlacing_csv(inter_path, inter_rows)
 
     aggregate = [shift_path, spacings_path, hist_path, inter_path]
+    # hashlib loads OpenSSL (about 3.4 MB and 4 ms); only this digest needs
+    # it, so validate, solve, compare and fit-xi never load it
+    import hashlib
+
     digest = hashlib.sha256()
     for p in sorted(str(a) for a in aggregate):
         digest.update(Path(p).read_bytes())

@@ -669,15 +669,15 @@ def test_fit_xi_roundtrip(tmp_path, rng, capsys):
 
 
 def test_fit_xi_says_when_the_sample_does_not_identify_xi(tmp_path, capsys):
-    # the objective is flat toward the GUE end on this campaign's 1765
-    # spacings: the fit ends at XI_MAX with an uncertainty near 4e7
+    # the objective is flat toward the GUE end on this campaign's spacings:
+    # the fit ends at XI_MAX with an uncertainty near 4e7
     result = run_campaign(plan_from_manifest(gue_numerics_manifest(count=6, seed=1)), workers=1)
     spath = tmp_path / "spacings.csv"
     qio.write_spacings_csv(result.spacings, spath)
     assert main(["fit-xi", str(spath), "--out", str(tmp_path / "overlay.csv")]) == 0
     out = capsys.readouterr().out
     assert out.startswith("the sample does not identify xi: the fit gives xi = 100.0000 +/- ")
-    assert "XI_MAX = 100" in out and "n = 1765" in out
+    assert "XI_MAX = 100" in out and f"n = {result.spacings.spacings.size}" in out
     assert qio.read_histogram_csv(tmp_path / "overlay.csv")["s_bin_center"].size > 0
     # the campaign's own overlay says the same in its echo
     assert not fit_xi(result.spacings).identified
@@ -842,6 +842,52 @@ def test_runtime_needs_no_scipy(tmp_path):
     assert _run_fresh(tmp_path, script) == {"codes": [0, 0, 0, 0]}
     spacings = qio.read_spacings_csv(tmp_path / "run" / "spacings.csv")
     assert spacings.spacings.size >= 200
+
+
+def test_solve_loads_no_openssl_and_a_campaign_no_numpy_random(tmp_path):
+    # hashlib loads OpenSSL (_hashlib, about 3.4 MB) and only a campaign's
+    # aggregate digest needs it; the seeded jitter draws from random.Random,
+    # so a randomized campaign never loads numpy.random (about 2.6 MB).
+    # solve runs first: the campaign's emit loads _hashlib itself
+    script = textwrap.dedent(
+        """
+        import json, sys
+        import numpy
+        preloaded = [m for m in ("numpy.random", "_hashlib") if m in sys.modules]
+        if preloaded:
+            print(json.dumps({"preloaded": preloaded}))
+            sys.exit(0)
+        from qgraph.cli import main
+        from qgraph.graphs import save_graph
+        from qgraph.presets import gue_numerics_window, preset
+
+        save_graph(preset("goe_a").graph, "goe_a.json")
+        manifest = {
+            "preset": "gue",
+            "randomized": {"count": 2, "jitter": 0.02},
+            "seed": 1,
+            "window_k": list(gue_numerics_window()),
+        }
+        with open("gue.json", "w") as fh:
+            json.dump(manifest, fh)
+        solve = main(["solve", "goe_a.json", "--window-ghz", "0.01:2.5", "--out", "s.csv"])
+        solve_hashlib = "_hashlib" in sys.modules
+        campaign = main(["campaign", "gue.json", "--workers", "1", "--out", "run"])
+        print(json.dumps({
+            "codes": [solve, campaign],
+            "_hashlib after solve": solve_hashlib,
+            "numpy.random after campaign": "numpy.random" in sys.modules,
+        }))
+        """
+    )
+    result = _run_fresh(tmp_path, script)
+    if "preloaded" in result:
+        pytest.skip(f"import numpy already loads {', '.join(result['preloaded'])}")
+    assert result == {
+        "codes": [0, 0],
+        "_hashlib after solve": False,
+        "numpy.random after campaign": False,
+    }
 
 
 # numpy loads numpy.ma lazily (np.unique does, for one), about 13 ms per

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import signal
 import time
@@ -99,6 +100,34 @@ def test_randomized_ensemble_rejects_bad_input():
     for jitter in (1.0, 1e308):
         with pytest.raises(ValueError, match="length_jitter must lie in"):
             randomized_ensemble(base, count=2, length_jitter=jitter, seed=1)
+    # random.Random(-1) draws what random.Random(1) draws
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+        randomized_ensemble(base, count=2, length_jitter=0.01, seed=-1)
+
+
+def test_randomized_ensemble_draws_from_python_random():
+    # the jitter stream is random.Random(seed), whose random() sequence
+    # Python keeps across versions, so these lengths hold under any numpy;
+    # each copy takes one draw per edge in edge order, and the draw of the
+    # compensation edge (edge 1, the longest) is discarded
+    assert random.Random(1).random() == 0.13436424411240122
+    base = preset("gue").graph
+    copies = randomized_ensemble(base, count=2, length_jitter=0.02, seed=1)
+    assert [e.length for e in copies[0].edges] == [
+        0.6987091048908014,
+        0.33154443327913896,
+        0.17179366740904098,
+        0.6805206058221385,
+        0.4246686473328522,
+        0.6107635412660283,
+    ]
+    rng = random.Random(1)
+    for copy in copies:
+        u = [2.0 * rng.random() - 1.0 for _ in base.edges]
+        assert [e.length for e in copy.edges[1:]] == [
+            e.length * (1.0 + 0.02 * x) for e, x in zip(base.edges[1:], u[1:])
+        ]
+        assert copy.total_length == base.total_length
 
 
 def test_randomized_ensemble_refuses_a_non_positive_compensation_edge():

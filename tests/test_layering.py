@@ -1,5 +1,6 @@
 """The qgraph modules import one another in layers: no cycle, no deferred
-import; beyond one another they import only numpy and the standard library."""
+sibling import; beyond one another they import only numpy and the standard
+library."""
 
 import ast
 import sys
