@@ -6,7 +6,9 @@ entry with cells joined by ',', no quoting and CRLF line ends; floats in repr
 re-parse losslessly and are locale independent.  One reader parses every table
 and also accepts LF line ends and no final newline; a row with a cell count other
 than the header's, or a cell that does not parse (a quoted one included), is a
-ValueError naming the file and line.
+ValueError naming the file and line.  The counting functions in counting.csv
+are integers counted from the bottom of the spectrum, whose difference is the
+spectral shift Delta N on every row.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "write_spacings_csv",
     "read_spacings_csv",
     "write_counting_csv",
+    "read_counting_csv",
     "emit_campaign_outputs",
 ]
 
@@ -168,18 +171,16 @@ COUNTING_HEADER = ["k_rad_per_m", "freq_GHz", "n_before", "n_after"]
 
 def write_counting_csv(path, before: Spectrum, after: Spectrum) -> None:
     """Merged staircase data of a before/after pair over one window: one row at
-    each breakpoint of the spectral shift, with both counting functions.
-
-    The counts are window-relative, zero at k_min; add a side's
-    `levels_below` to count from the bottom of the spectrum, as the
-    spectral shift does."""
-    ks, _, counts = _shift_steps(before, after)
-    columns = (ks.tolist(), ghz_from_k(ks).tolist(), *(n.astype(float).tolist() for n in counts))
+    each breakpoint of the spectral shift, with both counting functions as
+    integers counted from the bottom of the spectrum, so n_before - n_after
+    is Delta N on every row."""
+    ks, n_before, n_after = _shift_steps(before, after)
+    columns = (ks.tolist(), ghz_from_k(ks).tolist(), n_before.tolist(), n_after.tolist())
     _write_table(path, COUNTING_HEADER, columns)
 
 
 def read_counting_csv(path) -> dict[str, np.ndarray]:
-    return dict(zip(COUNTING_HEADER, _read_table(path, COUNTING_HEADER, [float] * 4)))
+    return dict(zip(COUNTING_HEADER, _read_table(path, COUNTING_HEADER, (float, float, int, int))))
 
 
 # ---------------------------------------------------------------------------

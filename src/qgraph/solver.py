@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -165,7 +165,10 @@ class Spectrum:
     diagnostic only: the equilateral K5, with multiplicities up to 7,
     reaches 5.5 while complete.  `levels_below` is the exact number of
     levels in [0, k_min], the Neumann zero mode included, from the
-    winding at k_min: it anchors the counting function at the bottom.
+    winding at k_min: the spectral shift, interlacing and `counting.csv`
+    add it to the window's levels, so they count from the bottom of the
+    spectrum.  Unpickling runs the constructor, so a spectrum that comes
+    back from a forked campaign worker is read-only as well.
     """
 
     wavenumbers: np.ndarray
@@ -184,6 +187,9 @@ class Spectrum:
             arr = np.array(getattr(self, name))  # a copy: the caller's array stays writable
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def count(self) -> int:
@@ -578,20 +584,25 @@ def solve_spectrum(graph: MetricGraph, window: tuple[float, float]) -> Spectrum:
 
 def drop_levels(spectrum: Spectrum, indices: list[int] | tuple[int, ...]) -> Spectrum:
     """Remove levels by 1-based position in the multiplicity-expanded list,
-    each position at most once.
+    at least one and each position at most once.
 
     Test and diagnostic helper: the returned spectrum carries status
     "fault-injected" and is never complete, since it lacks the removed
-    levels; its fluctuation envelope is recomputed as a diagnostic.
+    levels; the levels kept keep their residuals, and its fluctuation
+    envelope is recomputed as a diagnostic.
     """
     expanded = spectrum.expanded()
     n = expanded.size
+    if not indices:
+        raise ValueError("no level index to drop")
     for pos, idx in enumerate(indices):
         if not (1 <= idx <= n):
             raise ValueError(f"level index {idx} out of range 1..{n}")
         if idx in indices[:pos]:
             raise ValueError(f"level index {idx} repeated")
-    kept = np.delete(expanded, np.asarray(indices, dtype=np.int64) - 1)
+    gone = np.asarray(indices, dtype=np.int64) - 1
+    kept = np.delete(expanded, gone)
+    residuals = np.delete(np.repeat(spectrum.residuals, spectrum.multiplicities), gone)
     dropped = ", ".join(f"{i} at k = {expanded[i - 1]:.9g} rad/m" for i in sorted(indices))
     first, mults = _merge_close(kept, np.ones(kept.size), 0.0)
     nfl_max = fluctuation_envelope(kept, spectrum.window, spectrum.total_length)
@@ -599,7 +610,7 @@ def drop_levels(spectrum: Spectrum, indices: list[int] | tuple[int, ...]) -> Spe
         spectrum,
         wavenumbers=kept[first],
         multiplicities=mults,
-        residuals=np.zeros(mults.size),
+        residuals=residuals[first],
         complete=False,
         status="fault-injected",
         nfl_max=nfl_max,

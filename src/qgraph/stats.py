@@ -26,7 +26,6 @@ __all__ = [
     "TransitionFitResult",
     "MissingLevelReport",
     "weyl_count",
-    "window_levels",
     "shift_distribution",
     "pool_shift_distributions",
     "interlacing_degree",
@@ -50,17 +49,6 @@ def weyl_count(total_length: float, k: float) -> float:
     if k < 0.0:
         raise ValueError(f"k must be non-negative, got {k}")
     return total_length * k / math.pi
-
-
-def window_levels(spectrum: Spectrum) -> np.ndarray:
-    """The levels in the window (k_lo, k_hi], repeated by multiplicity.
-
-    Its `np.searchsorted(..., side="right")` is the right-continuous
-    counting function N(k) of the window, as the spectral shift uses it.
-    """
-    k_lo, k_hi = spectrum.window
-    ks = spectrum.expanded()
-    return ks[(ks > k_lo) & (ks <= k_hi)]
 
 
 # ---------------------------------------------------------------------------
@@ -94,28 +82,27 @@ class ShiftDistribution:
         return self.probabilities.get(m, 0.0)
 
 
-def _shift_steps(
-    before: Spectrum, after: Spectrum
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The spectral shift Delta N = N - N_tilde as a staircase over the window.
+def _shift_steps(before: Spectrum, after: Spectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The counting functions N and N_tilde of a pair as staircases over the window.
 
     `ks` is k_lo, every distinct level of either side in (k_lo, k_hi], then
-    k_hi unless it is a level itself.  (n_before, n_after) count each side's
-    in-window levels up to ks[j], zero at k_lo; dn[j] = Delta N(ks[j]), each
-    side counting from the bottom of the spectrum by adding its
-    `levels_below`.  Delta N holds dn[j] on [ks[j], ks[j+1]), and dn[-1] is
-    its value at k_hi.
+    k_hi unless it is a level itself.  n_before[j] and n_after[j] count each
+    side's levels in [0, ks[j]], from the bottom of the spectrum: its
+    `levels_below` and its window levels up to ks[j], each repeated by
+    multiplicity.  Delta N = N - N_tilde holds n_before[j] - n_after[j] on
+    [ks[j], ks[j+1]), and the last row is its value at k_hi.
     """
     if before.window != after.window:
         raise ValueError(f"windows differ: {before.window} vs {after.window}")
     k_lo, k_hi = before.window
-    a, b = window_levels(before), window_levels(after)
+    a, b = before.expanded(), after.expanded()
+    a, b = a[(a > k_lo) & (a <= k_hi)], b[(b > k_lo) & (b <= k_hi)]
     merged = np.sort(np.concatenate((a, b, [k_hi])))
     first, _ = _merge_close(merged, np.ones(merged.size), 0.0)  # the distinct levels
     ks = np.concatenate(([k_lo], merged[first]))
-    n_before, n_after = np.searchsorted(a, ks, "right"), np.searchsorted(b, ks, "right")
-    dn = n_before - n_after + (before.levels_below - after.levels_below)
-    return ks, dn, (n_before, n_after)
+    n_before = np.searchsorted(a, ks, "right") + before.levels_below
+    n_after = np.searchsorted(b, ks, "right") + after.levels_below
+    return ks, n_before, n_after
 
 
 def shift_distribution(before: Spectrum, after: Spectrum) -> ShiftDistribution:
@@ -125,9 +112,9 @@ def shift_distribution(before: Spectrum, after: Spectrum) -> ShiftDistribution:
     set; each integer's mass is the summed segment length divided by the
     window length (one normalization, no sampling grid).
     """
-    ks, dn, _ = _shift_steps(before, after)
+    ks, n_before, n_after = _shift_steps(before, after)
     measures: dict[int, float] = {}
-    for v, width in zip(dn[:-1].tolist(), np.diff(ks).tolist()):
+    for v, width in zip((n_before - n_after)[:-1].tolist(), np.diff(ks).tolist()):
         measures[v] = measures.get(v, 0.0) + width
     total = sum(measures.values())
     probs = {m: v / total for m, v in measures.items()}
@@ -176,7 +163,8 @@ def interlacing_degree(before: Spectrum, after: Spectrum) -> int:
     side (pivot 0, edges 3 and 5, 0.01-2.5 GHz) leaves degree 1.
     `Spectrum.status` is the completeness verdict.
     """
-    return int(np.abs(_shift_steps(before, after)[1]).max())
+    _, n_before, n_after = _shift_steps(before, after)
+    return int(np.abs(n_before - n_after).max())
 
 
 @dataclass(frozen=True)
@@ -213,8 +201,8 @@ def detect_missing_resonances(before: Spectrum, after: Spectrum) -> MissingLevel
     report).  Where the graph is known, `Spectrum.status` is the
     completeness verdict.
     """
-    ks, dn, _ = _shift_steps(before, after)
-    dn = dn[:-1]  # dn[j] holds on [ks[j], ks[j+1])
+    ks, n_before, n_after = _shift_steps(before, after)
+    dn = (n_before - n_after)[:-1]  # dn[j] holds on [ks[j], ks[j+1])
     bad = np.abs(dn) >= 2
     return MissingLevelReport(
         flagged=tuple(zip(ks[:-1][bad].tolist(), ks[1:][bad].tolist(), dn[bad].tolist()))

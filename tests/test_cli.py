@@ -207,6 +207,24 @@ def test_compare_preset_switch(goe_a_file, tmp_path, capsys):
     assert (out / "shift_distribution.csv").exists()
 
 
+@pytest.mark.parametrize("name, pivot, edges", [("goe_a", 0, "3,5"), ("goe_b", 1, "3,2")])
+def test_compare_counting_csv_differences_are_the_shift(name, pivot, edges, tmp_path, capsys):
+    # goe_b's sides differ by one level below 0.8 GHz, which each row's
+    # counts must include for their difference to be Delta N
+    save_graph(preset(name).graph, tmp_path / "g.json")
+    out = tmp_path / "cmp"
+    argv = ["compare", str(tmp_path / "g.json"), "--pivot", str(pivot), "--edges", edges,
+            "--window-ghz", "0.8:2.5", "--out", str(out)]
+    assert main(argv) == 0
+    degree = int(capsys.readouterr().out.splitlines()[0].removeprefix("interlacing degree: "))
+    rows = (out / "counting.csv").read_text().splitlines()[1:]
+    counts = [row.split(",")[2:] for row in rows]
+    assert all(c.isdigit() for row in counts for c in row), "counts are integer literals"
+    dn = [int(b) - int(a) for b, a in counts]
+    assert set(dn) <= set(qio.read_shift_csv(out / "shift_distribution.csv"))
+    assert max(map(abs, dn)) == degree == 1
+
+
 def test_compare_parallel_edges_degree_zero(tmp_path, capsys):
     g = MetricGraph(
         vertices=(0, 1), edges=(Edge(1, 0, 1, 0.8), Edge(2, 0, 1, 1.1))
@@ -259,10 +277,11 @@ def test_compare_counts_from_the_bottom_of_the_spectrum(tmp_path, capsys):
     )
     assert code == 0
     assert "interlacing degree: 1" in capsys.readouterr().out
-    # counting.csv stays window-relative: the after side's ground state
-    # lies below the window
+    # counting.csv counts from k = 0 too: the after side's ground state lies
+    # below the window, and each row's difference is the level-1 Delta N
     back = qio.read_counting_csv(out / "counting.csv")
-    assert back["n_before"][0] == back["n_after"][0] == 0
+    assert (back["n_before"][0], back["n_after"][0]) == (0, 1)
+    assert np.abs(back["n_before"] - back["n_after"]).max() == 1
 
 
 def test_compare_empty_window(tmp_path, capsys):
@@ -367,6 +386,9 @@ def test_compare_drop_level_fault(goe_a_file, tmp_path, capsys):
     after = solve_spectrum(switched, (k_from_ghz(0.01), k_from_ghz(2.5)))
     i = lines.index("after: status fault-injected")
     assert lines[i + 1] == f"  dropped level(s) 18 at k = {after.expanded()[17]:.9g} rad/m"
+    # the levels kept keep their residuals
+    written = qio.read_spectrum_csv(tmp_path / "cmp" / "spectrum_after.csv")["residual"]
+    assert np.array_equal(written, np.delete(after.residuals, 17)) and written.any()
 
 
 @pytest.mark.parametrize("name, levels", [("goe_a", 35), ("goe_b", 35), ("gue", 33)])

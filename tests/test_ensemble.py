@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import random
 import re
 import signal
@@ -156,6 +157,27 @@ def test_campaign_parallelism_bit_identical():
     for p1, p2 in zip(r1.pairs, r2.pairs):
         assert np.array_equal(p1.before.wavenumbers, p2.before.wavenumbers)
         assert np.array_equal(p1.after.wavenumbers, p2.after.wavenumbers)
+    assert_no_children()
+
+
+def test_spectra_from_forked_workers_stay_read_only():
+    # a spectrum comes back from a worker through pickle: unpickling must run
+    # the constructor, which copies and freezes its arrays
+    plan = plan_from_manifest(
+        {"preset": "gue", "randomized": {"count": 2, "jitter": 0.02}, "window_k": [20, 30]}
+    )
+    r1, r2 = run_campaign(plan, workers=1), run_campaign(plan, workers=2)
+    for p1, p2 in zip(r1.pairs, r2.pairs):
+        for s1, s2 in ((p1.before, p2.before), (p1.after, p2.after)):
+            for spec in (s2, pickle.loads(pickle.dumps(s1))):
+                for f in fields(spec):
+                    value, reference = getattr(spec, f.name), getattr(s1, f.name)
+                    if isinstance(value, np.ndarray):
+                        assert not value.flags.writeable, f.name
+                        assert value.dtype == reference.dtype
+                        assert value.tobytes() == reference.tobytes()
+                    else:
+                        assert value == reference, f.name
     assert_no_children()
 
 

@@ -14,11 +14,11 @@ from qgraph.presets import preset
 from qgraph.stats import (
     MIN_FIT_SPACINGS,
     SpacingSample,
+    interlacing_degree,
     pool_shift_distributions,
     shift_distribution,
     spacing_histogram,
     unfold_spacings,
-    window_levels,
 )
 from qgraph.stats import _shift_steps
 from qgraph.units import ghz_from_k, k_from_ghz
@@ -96,30 +96,34 @@ def test_counting_csv_roundtrip(tmp_path, spectrum):
     path = tmp_path / "counting.csv"
     qio.write_counting_csv(path, spectrum, other)
     back = qio.read_counting_csv(path)
-    assert back["n_before"][-1] == spectrum.count
-    assert back["n_after"][-1] == other.count
+    assert back["n_before"].dtype == back["n_after"].dtype == np.int64
+    assert back["n_before"][-1] == spectrum.levels_below + spectrum.count
+    assert back["n_after"][-1] == other.levels_below + other.count
     assert np.all(np.diff(back["k_rad_per_m"]) > 0)
 
 
 def test_counting_csv_matches_shift_steps(tmp_path):
-    # levels outside (k_lo, k_hi] count on neither side of the shift, so
-    # counting.csv keeps to the window and its N - N_tilde is Delta N on
-    # every row, including a level on k_hi
+    # a level in [0, k_lo] counts through levels_below alone and a level
+    # above k_hi not at all, so counting.csv counts from the bottom of the
+    # spectrum over the window, and its N - N_tilde is Delta N on every
+    # row, including a level on k_hi
     window = (0.1, 4.0)
     before = make_spectrum([0.05, 1.0, 2.0, 3.0, 4.5], window, 1.0)
     after = make_spectrum([0.1, 1.5, 2.5, 4.0, 5.0], window, 1.0, mults=[1, 2, 1, 1, 1])
+    before, after = replace(before, levels_below=1), replace(after, levels_below=1)
     path = tmp_path / "counting.csv"
     qio.write_counting_csv(path, before, after)
     back = qio.read_counting_csv(path)
     ks = back["k_rad_per_m"]
     assert ks[0] == window[0] and ks[-1] == window[1]
     assert np.all(np.diff(ks) > 0)
-    edges, dn, _ = _shift_steps(before, after)
-    seg = np.minimum(np.searchsorted(edges, ks, side="right") - 1, dn.size - 1)
-    assert np.array_equal(back["n_before"] - back["n_after"], dn[seg])
+    edges, n_before, n_after = _shift_steps(before, after)
+    assert np.array_equal(edges, ks)
+    assert np.array_equal(back["n_before"], n_before)
+    assert np.array_equal(back["n_after"], n_after)
     assert list(ks) == [0.1, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]
-    assert list(back["n_before"]) == [0, 1, 1, 2, 2, 3, 3]
-    assert list(back["n_after"]) == [0, 0, 2, 2, 3, 3, 4]
+    assert list(back["n_before"]) == [1, 2, 2, 3, 3, 4, 4]
+    assert list(back["n_after"]) == [1, 1, 3, 3, 4, 4, 5]
 
 
 def test_counting_csv_refuses_different_windows(tmp_path):
@@ -153,8 +157,9 @@ COUNTING_SIDES = st.lists(
 @example(before=([0.5, 2.0, 4.0], [2, 1, 3], 1), after=([0.2, 2.0, 4.5], [1, 2, 1], 0))
 def test_counting_csv_rows_and_counts(tmp_path_factory, before, after):
     # rows are k_lo, the distinct levels in (k_lo, k_hi], then k_hi once; each
-    # side counts its window levels up to the row, and with the levels_below
-    # offset n_before - n_after is the shift staircase's Delta N on every row
+    # side counts its levels_below and its window levels up to the row, and
+    # n_before - n_after is the Delta N whose measure shift_distribution
+    # gives and whose largest |.| is the interlacing degree
     k_lo, k_hi = COUNTING_WINDOW
     spectra = [
         replace(make_spectrum(ks, COUNTING_WINDOW, 1.0, mults), levels_below=below)
@@ -166,14 +171,15 @@ def test_counting_csv_rows_and_counts(tmp_path_factory, before, after):
     ks = back["k_rad_per_m"]
     in_window = {k for k in before[0] + after[0] if k_lo < k <= k_hi}
     assert ks.tolist() == [k_lo, *sorted(in_window - {k_hi}), k_hi]
-    for name, spec, (levels, mults, _) in zip(("n_before", "n_after"), spectra, (before, after)):
+    for name, (levels, mults, below) in zip(("n_before", "n_after"), (before, after)):
         expanded = [k for k, m in zip(levels, mults) for _ in range(m) if k_lo < k <= k_hi]
-        assert window_levels(spec).tolist() == expanded
-        assert np.array_equal(back[name], np.searchsorted(window_levels(spec), ks, "right"))
-    edges, dn, _ = _shift_steps(*spectra)
-    seg = np.minimum(np.searchsorted(edges, ks, side="right") - 1, dn.size - 1)
-    offset = spectra[0].levels_below - spectra[1].levels_below
-    assert np.array_equal(back["n_before"] - back["n_after"] + offset, dn[seg])
+        assert back[name].dtype == np.int64
+        assert np.array_equal(back[name], below + np.searchsorted(expanded, ks, "right"))
+    dn = back["n_before"] - back["n_after"]
+    assert interlacing_degree(*spectra) == np.abs(dn).max()
+    widths = np.diff(ks)
+    measures = {m: widths[dn[:-1] == m].sum() / (k_hi - k_lo) for m in set(dn[:-1].tolist())}
+    assert shift_distribution(*spectra).probabilities == pytest.approx(measures, abs=1e-12)
 
 
 def _csv_module_table(path, header, rows):

@@ -661,6 +661,9 @@ def test_drop_levels_flags_incomplete():
     assert faulted.status == "fault-injected"
     assert not faulted.complete
     assert faulted.count == spec.count - 4
+    # the levels kept keep their residuals, bit for bit
+    assert spec.multiplicities.max() == 1 and faulted.residuals.any()
+    assert np.array_equal(faulted.residuals, np.delete(spec.residuals, range(9, 13)))
 
 
 def test_drop_levels_validates_index():
@@ -670,6 +673,10 @@ def test_drop_levels_validates_index():
     # a repeated index would remove one level and name it twice
     with pytest.raises(ValueError, match="level index 3 repeated"):
         drop_levels(spec, [3, 3])
+    # nothing to drop is no fault to inject
+    for indices in ([], ()):
+        with pytest.raises(ValueError, match="no level index to drop"):
+            drop_levels(spec, indices)
 
 
 def test_spectrum_freezes_copies_not_the_callers_arrays():
@@ -710,13 +717,15 @@ def test_merge_close_at_radius_zero_is_np_unique(ks):
 
 @st.composite
 def spectra_and_drops(draw):
-    """Distinct levels in (0.1, 10] with multiplicities up to 3, and a set
-    of 1-based positions in the expanded list to drop."""
-    ks = draw(st.lists(st.floats(0.2, 9.8), unique=True, max_size=12).map(sorted))
+    """Distinct levels in (0.1, 10] with multiplicities up to 3, each with
+    its own residual, and a non-empty set of 1-based positions in the
+    expanded list to drop."""
+    ks = draw(st.lists(st.floats(0.2, 9.8), unique=True, min_size=1, max_size=12).map(sorted))
     mults = draw(st.lists(st.integers(1, 3), min_size=len(ks), max_size=len(ks)))
     n = sum(mults)
-    drops = draw(st.lists(st.integers(1, n), unique=True, max_size=n)) if n else []
-    return make_spectrum(ks, (0.1, 10.0), 1.0, mults), drops
+    drops = draw(st.lists(st.integers(1, n), unique=True, min_size=1, max_size=n))
+    spec = make_spectrum(ks, (0.1, 10.0), 1.0, mults)
+    return replace(spec, residuals=np.arange(1, len(ks) + 1) * 1e-9), drops
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -729,7 +738,8 @@ def test_drop_levels_groups_like_np_unique(case):
     assert np.array_equal(faulted.wavenumbers, values)
     assert np.array_equal(faulted.multiplicities, counts)
     assert faulted.multiplicities.dtype == counts.dtype
-    assert faulted.residuals.shape == values.shape
+    # each level kept keeps its residual
+    assert np.array_equal(faulted.residuals, spec.residuals[np.isin(spec.wavenumbers, values)])
 
 
 def test_check_window_refuses_bad_windows():

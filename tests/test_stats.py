@@ -28,7 +28,6 @@ from qgraph.stats import (
     unfold_spacings,
     weyl_count,
     wigner_pdf,
-    window_levels,
 )
 from qgraph.units import k_from_ghz
 
@@ -85,11 +84,12 @@ def test_fluctuating_count_goe_a_bound():
 
 
 def test_counting_function_steps():
-    spec = make_spectrum([1.0, 2.0, 3.0], (0.0, 4.0), 1.0)
-    levels = window_levels(spec)
-    assert np.searchsorted(levels, 0.5, "right") == 0
-    assert np.searchsorted(levels, 1.0, "right") == 1  # right-continuous
-    assert np.searchsorted(levels, 3.5, "right") == 3
+    # N(k) counts from the bottom of the spectrum and holds n[j] on
+    # [ks[j], ks[j+1])
+    spec = replace(make_spectrum([1.0, 2.0, 3.0], (0.0, 4.0), 1.0), levels_below=2)
+    ks, n, _ = stats._shift_steps(spec, spec)
+    rows = np.searchsorted(ks, [0.5, 1.0, 3.5], "right") - 1
+    assert n[rows].tolist() == [2, 3, 5]  # 3 at k = 1.0: right-continuous
 
 
 # --------------------------------------------------------------------------
