@@ -192,7 +192,11 @@ def emit_campaign_outputs(result, out_dir, manifest: dict | None = None) -> list
     """Write per-configuration spectra plus the aggregate tables.
 
     Returns the emitted paths; a manifest echo with a content hash over
-    the aggregate CSVs closes the provenance loop.  Spectrum files
+    the aggregate CSVs closes the provenance loop.  Its `aggregate_sha256`
+    is the SHA-256 of interlacing.csv, shift_distribution.csv,
+    spacing_histogram.csv and spacings.csv joined in that (sorted-path)
+    order, so `cat` of the four in that order piped to `sha256sum`
+    recomputes it; the spectrum files are not covered.  Spectrum files
     `spectra/pair*_*.csv` this call did not write, left by an earlier
     campaign in the same directory, are removed.  The echo's
     `xi_overlay` gives the xi the histogram overlay draws and whether the
@@ -235,11 +239,18 @@ def emit_campaign_outputs(result, out_dir, manifest: dict | None = None) -> list
     write_interlacing_csv(inter_path, inter_rows)
 
     aggregate = [shift_path, spacings_path, hist_path, inter_path]
-    # hashlib loads OpenSSL (about 3.4 MB and 4 ms); only this digest needs
-    # it, so validate, solve, compare and fit-xi never load it
-    import hashlib
+    # CPython's built-in SHA-256 (_sha2 from 3.12, _sha256 before) gives
+    # hashlib's digest without loading OpenSSL (about 3.4 MB and 4 ms);
+    # hashlib serves only a build that leaves the built-in out
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
 
-    digest = hashlib.sha256()
+    digest = sha256()
     for p in sorted(str(a) for a in aggregate):
         digest.update(Path(p).read_bytes())
     echo = {

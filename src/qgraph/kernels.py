@@ -30,13 +30,18 @@ one lies at least pi / (m + 1) from all m phases, where
 |lambda| <= cot(pi / (2 (m + 1))) <= T, so at most m + 1 passes are made
 and every accepted phase carries an error of at most about 100 eps.
 
-Kernels are single-threaded on purpose: a campaign gives each worker one
-chunk of sides.  In a chunk, one call of each kernel per search step
-serves all sides (eigenphases only for points next to a pole), and one
-eigenphase call counts all window edges.  Verification calls eigenphases
-once per side: one call over all roots of a chunk would hold all their
-2E x 2E matrices at once.  A point's result does not depend on the other
-points of its call, which keeps results bit-identical at any worker count.
+Kernels add no threads of their own: a campaign gives each worker one
+chunk of sides, and a forked worker runs one thread.  A process that
+solves by itself (`solve`, `compare`, `campaign --workers 1`) keeps the
+helper thread numpy's OpenBLAS starts at import, which may run during the
+batched `eigvalsh` and `inv` calls, so its CPU time can exceed its wall
+time; qgraph sets no BLAS thread count.  In a chunk, one call of each
+kernel per search step serves all sides (eigenphases only for points next
+to a pole), and one eigenphase call counts all window edges.
+Verification calls eigenphases once per side: one call over all roots of
+a chunk would hold all their 2E x 2E matrices at once.  A point's result
+does not depend on the other points of its call, which keeps results
+bit-identical at any worker count.
 """
 
 from __future__ import annotations

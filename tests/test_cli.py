@@ -866,11 +866,11 @@ def test_runtime_needs_no_scipy(tmp_path):
     assert spacings.spacings.size >= 200
 
 
-def test_solve_loads_no_openssl_and_a_campaign_no_numpy_random(tmp_path):
-    # hashlib loads OpenSSL (_hashlib, about 3.4 MB) and only a campaign's
-    # aggregate digest needs it; the seeded jitter draws from random.Random,
-    # so a randomized campaign never loads numpy.random (about 2.6 MB).
-    # solve runs first: the campaign's emit loads _hashlib itself
+def test_solve_and_a_campaign_load_no_openssl_and_no_numpy_random(tmp_path):
+    # hashlib loads OpenSSL (_hashlib, about 3.4 MB): a campaign's aggregate
+    # digest takes CPython's built-in SHA-256 instead, and no command
+    # loads it; the seeded jitter draws from random.Random, so a randomized
+    # campaign never loads numpy.random (about 2.6 MB)
     script = textwrap.dedent(
         """
         import json, sys
@@ -898,6 +898,7 @@ def test_solve_loads_no_openssl_and_a_campaign_no_numpy_random(tmp_path):
         print(json.dumps({
             "codes": [solve, campaign],
             "_hashlib after solve": solve_hashlib,
+            "_hashlib after campaign": "_hashlib" in sys.modules,
             "numpy.random after campaign": "numpy.random" in sys.modules,
         }))
         """
@@ -908,8 +909,31 @@ def test_solve_loads_no_openssl_and_a_campaign_no_numpy_random(tmp_path):
     assert result == {
         "codes": [0, 0],
         "_hashlib after solve": False,
+        "_hashlib after campaign": False,
         "numpy.random after campaign": False,
     }
+
+
+def test_a_build_without_the_builtin_sha256_digests_through_hashlib(tmp_path):
+    # some builds leave CPython's built-in SHA-256 out (_sha2 from 3.12,
+    # _sha256 before); with both blocked the campaign falls back to hashlib
+    # and writes the digest the built-in writes
+    manifest = {"presets": ["goe_a"], "window_ghz": [0.01, 1.0]}
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    assert main(["campaign", str(tmp_path / "m.json"), "--workers", "1", "--out", str(tmp_path / "run")]) == 0
+    script = textwrap.dedent(
+        """
+        import json, sys
+        sys.modules["_sha2"] = sys.modules["_sha256"] = None
+        from qgraph.cli import main
+
+        code = main(["campaign", "m.json", "--workers", "1", "--out", "fallback"])
+        echo = json.load(open("fallback/manifest_echo.json"))
+        print(json.dumps({"code": code, "digest": echo["aggregate_sha256"]}))
+        """
+    )
+    echo = json.loads((tmp_path / "run" / "manifest_echo.json").read_text())
+    assert _run_fresh(tmp_path, script) == {"code": 0, "digest": echo["aggregate_sha256"]}
 
 
 # numpy loads numpy.ma lazily (np.unique does, for one), about 13 ms per

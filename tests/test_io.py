@@ -299,10 +299,15 @@ def test_emit_campaign_outputs(tmp_path):
     assert "interlacing.csv" in names
     assert "manifest_echo.json" in names
     assert (tmp_path / "spectra" / "pair000_before.csv").exists()
+    import hashlib
     import json
 
     echo = json.loads((tmp_path / "manifest_echo.json").read_text())
-    assert "aggregate_sha256" in echo
+    # the digest README gives for recomputing: cat of the four aggregate
+    # tables in sorted-path order piped to sha256sum
+    aggregates = ["interlacing.csv", "shift_distribution.csv", "spacing_histogram.csv", "spacings.csv"]
+    expected = hashlib.sha256(b"".join((tmp_path / name).read_bytes() for name in aggregates))
+    assert echo["aggregate_sha256"] == expected.hexdigest()
     assert echo["degraded"] is False
     # too few spacings to fit: the overlay's xi = 1 is a placeholder
     assert result.spacings.spacings.size < MIN_FIT_SPACINGS
